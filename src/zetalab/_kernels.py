@@ -1,24 +1,14 @@
 """Hot numeric kernels: float64 zeta line batches, divisor-convolution sieve
 passes, the weighted-divisor combine, and a compensated running sum.
 
-Two interchangeable implementation baskets exist: numba-compiled and pure
-numpy. Selection happens at import time: setting ZETALAB_NO_NUMBA to a
-nonempty value forces the numpy basket; otherwise numba is used when it
-imports cleanly. BACKEND names the active basket; implementations() hands
-back every available basket so benchmarks and equivalence tests can compare
-them directly.
-
-Equivalence across baskets: integer kernels match exactly (exact integer
-arithmetic, same additions); the weighted combine accumulates each slot in
-ascending divisor order on both paths and matches bitwise in practice; the
-zeta line batch differs only in summation order (~1e-13 relative).
+Each kernel has one numpy implementation. Integer kernels use exact int64
+arithmetic; the weighted combine accumulates each slot in ascending divisor
+order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,14 +21,8 @@ with _workdps(30):
         [float(_bernoulli(2 * k) / _gamma(2 * k + 1)) for k in range(1, 13)]
     )
 
-_FORCED_NUMPY = bool(os.environ.get("ZETALAB_NO_NUMBA"))
 
-# ---------------------------------------------------------------------------
-# numpy basket
-# ---------------------------------------------------------------------------
-
-
-def _line_zeta_numpy(sigma: float, ts: np.ndarray) -> np.ndarray:
+def line_zeta(sigma: float, ts: np.ndarray) -> np.ndarray:
     """zeta(sigma + i t) for a batch of t >= 0, absolute error ~1e-12.
 
     Euler-Maclaurin with truncation N ~ 0.6 * max t and 12 tail terms;
@@ -64,7 +48,7 @@ def _line_zeta_numpy(sigma: float, ts: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _conv_with_ones_numpy(f: np.ndarray) -> np.ndarray:
+def conv_with_ones(f: np.ndarray) -> np.ndarray:
     """One divisor-convolution pass: out[m] = sum of f[d] over divisors d of m.
 
     f is int64 indexed 0..N with f[0] ignored; exact integer arithmetic.
@@ -78,11 +62,10 @@ def _conv_with_ones_numpy(f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weighted_combine_numpy(d4: np.ndarray, dl: np.ndarray, a: float) -> np.ndarray:
+def weighted_combine(d4: np.ndarray, dl: np.ndarray, a: float) -> np.ndarray:
     """combined[n] = sum over n = q*e of d4[q] * dl[e] * e^(-a), float64.
 
-    Each slot accumulates in ascending e, matching the numba basket's order
-    exactly. One transcendental per e.
+    Each slot accumulates in ascending e. One transcendental per e.
     """
     N = d4.shape[0] - 1
     d4f = d4.astype(np.float64)
@@ -94,8 +77,8 @@ def _weighted_combine_numpy(d4: np.ndarray, dl: np.ndarray, a: float) -> np.ndar
     return out
 
 
-def _running_sum_numpy(x: np.ndarray) -> np.ndarray:
-    """Kahan-compensated cumulative sum (same algorithm as the numba basket)."""
+def running_sum(x: np.ndarray) -> np.ndarray:
+    """Kahan-compensated cumulative sum."""
     out = np.empty_like(x)
     s = 0.0
     comp = 0.0
@@ -106,149 +89,3 @@ def _running_sum_numpy(x: np.ndarray) -> np.ndarray:
         s = t
         out[i] = s
     return out
-
-
-_NUMPY_IMPL = SimpleNamespace(
-    name="numpy",
-    line_zeta=_line_zeta_numpy,
-    conv_with_ones=_conv_with_ones_numpy,
-    weighted_combine=_weighted_combine_numpy,
-    running_sum=_running_sum_numpy,
-)
-
-# ---------------------------------------------------------------------------
-# numba basket (compiled lazily on first call; cache=True persists compiles)
-# ---------------------------------------------------------------------------
-
-_NUMBA_IMPL = None
-
-if not _FORCED_NUMPY:
-    try:
-        from numba import njit
-
-        @njit(cache=True, nogil=True)
-        def _line_zeta_core(sigma, ts, coeffs):
-            npts = ts.shape[0]
-            out = np.empty(npts, dtype=np.complex128)
-            tmax = 0.0
-            for i in range(npts):
-                av = abs(ts[i])
-                if av > tmax:
-                    tmax = av
-            N = int(0.6 * tmax) + 2
-            if N < 50:
-                N = 50
-            logs = np.empty(N, dtype=np.float64)
-            for m in range(1, N):
-                logs[m] = math.log(m)
-            lnN = math.log(N)
-            for i in range(npts):
-                s = complex(sigma, ts[i])
-                acc = complex(0.0, 0.0)
-                for m in range(1, N):
-                    acc += np.exp(-s * logs[m])
-                NmS = np.exp(-s * lnN)
-                acc += NmS * N / (s - 1.0)
-                acc += NmS * 0.5
-                poch = s
-                acc += coeffs[0] * poch * NmS / N
-                scale = float(N) * float(N)
-                Npow = NmS / N
-                for k in range(2, 13):
-                    poch = poch * (s + (2 * k - 3)) * (s + (2 * k - 2))
-                    Npow = Npow / scale
-                    acc += coeffs[k - 1] * poch * Npow
-                out[i] = acc
-            return out
-
-        @njit(cache=True, nogil=True)
-        def _conv_with_ones_core(f, out):
-            N = f.shape[0] - 1
-            for d in range(1, N + 1):
-                fd = f[d]
-                if fd != 0:
-                    for m in range(d, N + 1, d):
-                        out[m] += fd
-
-        @njit(cache=True, nogil=True)
-        def _weighted_combine_core(d4f, dl, a, out):
-            N = d4f.shape[0] - 1
-            for e in range(1, N + 1):
-                if dl[e] != 0:
-                    w = dl[e] * np.float64(e) ** np.float64(-a)
-                    idx = e
-                    q = 1
-                    while idx <= N:
-                        out[idx] += d4f[q] * w
-                        idx += e
-                        q += 1
-
-        @njit(cache=True, nogil=True)
-        def _running_sum_core(x, out):
-            s = 0.0
-            comp = 0.0
-            for i in range(x.shape[0]):
-                y = x[i] - comp
-                t = s + y
-                comp = (t - s) - y
-                s = t
-                out[i] = s
-
-        def _line_zeta_numba(sigma: float, ts: np.ndarray) -> np.ndarray:
-            return _line_zeta_core(
-                float(sigma), np.ascontiguousarray(ts, dtype=np.float64), EM_COEFFS
-            )
-
-        def _conv_with_ones_numba(f: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(f)
-            _conv_with_ones_core(f, out)
-            return out
-
-        def _weighted_combine_numba(d4: np.ndarray, dl: np.ndarray, a: float) -> np.ndarray:
-            d4f = d4.astype(np.float64)
-            out = np.zeros(d4.shape[0], dtype=np.float64)
-            _weighted_combine_core(d4f, dl, float(a), out)
-            return out
-
-        def _running_sum_numba(x: np.ndarray) -> np.ndarray:
-            out = np.empty_like(x)
-            _running_sum_core(x, out)
-            return out
-
-        _NUMBA_IMPL = SimpleNamespace(
-            name="numba",
-            line_zeta=_line_zeta_numba,
-            conv_with_ones=_conv_with_ones_numba,
-            weighted_combine=_weighted_combine_numba,
-            running_sum=_running_sum_numba,
-        )
-    except ImportError:
-        _NUMBA_IMPL = None
-
-_ACTIVE = _NUMBA_IMPL if _NUMBA_IMPL is not None else _NUMPY_IMPL
-
-BACKEND: str = _ACTIVE.name
-
-
-def implementations() -> dict:
-    """Every available basket keyed by name, for benchmarks and parity tests."""
-    out = {"numpy": _NUMPY_IMPL}
-    if _NUMBA_IMPL is not None:
-        out["numba"] = _NUMBA_IMPL
-    return out
-
-
-def line_zeta(sigma: float, ts: np.ndarray) -> np.ndarray:
-    return _ACTIVE.line_zeta(sigma, ts)
-
-
-def conv_with_ones(f: np.ndarray) -> np.ndarray:
-    return _ACTIVE.conv_with_ones(f)
-
-
-def weighted_combine(d4: np.ndarray, dl: np.ndarray, a: float) -> np.ndarray:
-    return _ACTIVE.weighted_combine(d4, dl, a)
-
-
-def running_sum(x: np.ndarray) -> np.ndarray:
-    return _ACTIVE.running_sum(x)

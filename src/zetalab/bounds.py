@@ -379,6 +379,8 @@ def moment_threshold(sigma0: Rationalish, j: int) -> ThresholdReport:
 
     Requires max_bounded_order(sigma0) > 2j. With p = order/(order - 2j) and
     x = moment_excess(4p)/p the threshold is (3x + sigma0)/(2x + 1); exact.
+    Raises DomainError when that threshold falls outside (1/2, 1), as it does
+    where the order only just exceeds 2j (sigma0 = 5001/8000, j = 4).
     """
     if not isinstance(j, int) or j < 1:
         raise DomainError(f"j must be a positive integer, got {j!r}")
@@ -394,6 +396,10 @@ def moment_threshold(sigma0: Rationalish, j: int) -> ThresholdReport:
     p = order / (order - 2 * j)
     x = moment_excess(4 * p) / p
     threshold = (3 * x + s0) / (2 * x + 1)
+    if not (HALF < threshold < 1):
+        raise DomainError(
+            f"threshold {threshold} at sigma0 = {s0}, j = {j} lies outside (1/2, 1)"
+        )
     return ThresholdReport(
         j=j, sigma0=s0, p=p, threshold=threshold, provenance="table-threshold"
     )

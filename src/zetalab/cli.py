@@ -377,16 +377,11 @@ def cmd_shift_ranges(cfg: RunConfig) -> Report:
 
 def cmd_pairs(cfg: RunConfig, j: int) -> Report:
     report = Report("pairs", cfg)
-    best_pair, best_bound = _pairs.search_best_pair(j, cfg.depth)
-    candidates = []
-    for pair in _pairs.generate_pairs(cfg.depth):
-        bound = _pairs.hybrid_sigma_bound(j, pair)
-        if bound is not _pairs.INFEASIBLE:
-            candidates.append((bound, len(pair.word), pair.word or "(base)", pair))
-    candidates.sort(key=lambda t: (t[0], t[1], t[2]))
+    ranked = _pairs.rank_pairs(j, cfg.depth)
+    best_pair, best_bound = ranked[0]
     rows = [
-        [word, pair.k, pair.l, bound, float(bound)]
-        for bound, _, word, pair in candidates[:25]
+        [pair.word or "(base)", pair.k, pair.l, bound, float(bound)]
+        for pair, bound in ranked[:25]
     ]
     report.add_table(
         "feasible exponent pairs (best 25 by abscissa bound)",
@@ -401,7 +396,7 @@ def cmd_pairs(cfg: RunConfig, j: int) -> Report:
     # reference rows certify that known bounds appear among the candidates;
     # a deeper search may legitimately improve on them, so the check is for
     # presence, not for being the minimum
-    bound_set = {b for b, _, _, _ in candidates}
+    bound_set = {bound for _, bound in ranked}
     for jj, ref, min_depth in ((1, Fraction(9, 10), 0), (2, Fraction(37, 38), 2)):
         if j == jj and cfg.depth >= min_depth:
             found = ref if ref in bound_set else best_bound
@@ -430,8 +425,7 @@ def cmd_moment(cfg: RunConfig, t_lo: float, t_hi: float, sigma: float, j: int, t
     report.notes.append(
         f"refinement trace over tolerances {', '.join(f'{t:g}' for t in tols)}; "
         f"final panels={last.step_stats.get('panels')} "
-        f"node_evals={last.step_stats.get('node_evals')} "
-        f"backend={last.step_stats.get('backend')}"
+        f"node_evals={last.step_stats.get('node_evals')}"
     )
     if not last.converged:
         report.notes.append("final tolerance NOT reached before the panel ceiling")
@@ -547,19 +541,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
+    # The common options are valid before and after the subcommand. They
+    # carry no default, so a subparser that does not see a flag keeps the
+    # value parsed before the subcommand; _run supplies the defaults.
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     g = common.add_argument_group("common options")
-    g.add_argument("--precision", type=int, default=None, help="working significant digits (>= 15)")
-    g.add_argument("--depth", type=int, default=None, help="search/recursion depth (<= 12)")
-    g.add_argument("--variant", choices=["ivic-ouellet", "ford"], default=None,
+    g.add_argument("--precision", type=int, help="working significant digits (>= 15)")
+    g.add_argument("--depth", type=int, help="search/recursion depth (<= 12)")
+    g.add_argument("--variant", choices=["ivic-ouellet", "ford"],
                    help="optional sharpened bound variant")
-    g.add_argument("--tol", type=float, default=None,
+    g.add_argument("--tol", type=float,
                    help="tolerance: reference-row gate, or quadrature target for 'moment'")
-    g.add_argument("--ceiling", type=int, default=None,
+    g.add_argument("--ceiling", type=int,
                    help="resource ceiling: sieve length for 'divisor', panel budget for 'moment'")
-    g.add_argument("--format", dest="fmt", choices=list(_FORMATS), default=None,
+    g.add_argument("--format", dest="fmt", choices=list(_FORMATS),
                    help="output format (default: markdown to stdout, all three to --out)")
-    g.add_argument("--out", default=None, help="output directory; file names carry the config hash")
+    g.add_argument("--out", help="output directory; file names carry the config hash")
 
     parser = _Parser(prog="zetalab", description=__doc__.splitlines()[0], parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -616,13 +613,13 @@ def _run(argv: Sequence[str]) -> int:
                   ("stop", args.stop), ("table", args.table)]
     cfg = RunConfig(
         command=command,
-        precision=args.precision if args.precision is not None else 30,
-        depth=args.depth if args.depth is not None else 11,
-        variant=args.variant,
-        tol=args.tol if args.tol is not None else tol_default,
-        ceiling=args.ceiling if args.ceiling is not None else ceiling_default,
-        fmt=args.fmt,
-        out=args.out,
+        precision=getattr(args, "precision", 30),
+        depth=getattr(args, "depth", 11),
+        variant=getattr(args, "variant", None),
+        tol=getattr(args, "tol", tol_default),
+        ceiling=getattr(args, "ceiling", ceiling_default),
+        fmt=getattr(args, "fmt", None),
+        out=getattr(args, "out", None),
         extras=tuple(extras),
     )
     if command == "thresholds":

@@ -35,7 +35,7 @@ def sieve_divisor_counts(k: int, N: int) -> np.ndarray:
     """Table of k-dimensional divisor counts for n = 1..N (index 0 unused).
 
     Built by k-1 divisor-convolution passes over the all-ones table; exact
-    int64 integers on either kernel backend.
+    int64 integers.
     """
     if not (isinstance(k, int) and k >= 1):
         raise DomainError(f"k must be a positive integer, got {k!r}")

@@ -181,7 +181,6 @@ def hybrid_moment_trace(
                             "node_evals": evals,
                             "converged": converged,
                             "rel_tol": tol,
-                            "backend": _kernels.BACKEND,
                         },
                     )
                 )

@@ -123,25 +123,36 @@ def generate_pairs(
     return sorted(best.values(), key=lambda p: (len(p.word), p.word, p.k, p.l))
 
 
+def rank_pairs(
+    j: int,
+    max_word_length: int,
+    base_pairs: Sequence[tuple[Fraction, Fraction]] = BASE_PAIRS_DEFAULT,
+) -> list[tuple[ExponentPair, Fraction]]:
+    """Feasible (pair, hybrid_sigma_bound) entries at index j, best first.
+
+    Enumerates all A/B words up to max_word_length over the base pairs.
+    Order: smaller bound, then shorter word, then lexicographic word.
+    Raises DomainError if no feasible pair exists at this depth.
+    """
+    ranked = []
+    for p in generate_pairs(max_word_length, base_pairs):
+        bound = hybrid_sigma_bound(j, p)
+        if bound is not INFEASIBLE:
+            ranked.append((p, bound))
+    if not ranked:
+        raise DomainError(
+            f"no feasible exponent pair for j = {j} at word length <= {max_word_length}"
+        )
+    ranked.sort(key=lambda entry: (entry[1], len(entry[0].word), entry[0].word))
+    return ranked
+
+
 def search_best_pair(
     j: int,
     max_word_length: int,
     base_pairs: Sequence[tuple[Fraction, Fraction]] = BASE_PAIRS_DEFAULT,
 ) -> tuple[ExponentPair, Fraction]:
-    """Feasible pair minimizing hybrid_sigma_bound at index j.
-
-    Enumerates all A/B words up to max_word_length over the base pairs.
-    Tie-break: smaller bound, then shorter word, then lexicographic word.
-    Raises DomainError if no feasible pair exists at this depth.
+    """Feasible pair minimizing hybrid_sigma_bound at index j: the head of
+    rank_pairs. Raises DomainError if no feasible pair exists at this depth.
     """
-    candidates = []
-    for p in generate_pairs(max_word_length, base_pairs):
-        bound = hybrid_sigma_bound(j, p)
-        if bound is not INFEASIBLE:
-            candidates.append((bound, len(p.word), p.word, p))
-    if not candidates:
-        raise DomainError(
-            f"no feasible exponent pair for j = {j} at word length <= {max_word_length}"
-        )
-    bound, _, _, pair = min(candidates)
-    return pair, bound
+    return rank_pairs(j, max_word_length, base_pairs)[0]

@@ -204,6 +204,13 @@ def test_threshold_domain():
         bounds.moment_threshold(F(2, 5), 1)
 
 
+def test_threshold_outside_unit_interval_raises_domain_error():
+    # order(5001/8000) = 40000/4997 only just exceeds 2j = 8, so p is large
+    # and the closed form lands above 1: a typed error, not a ValueError
+    with pytest.raises(DomainError, match="20472201/18430784"):
+        bounds.moment_threshold(F(5001, 8000), 4)
+
+
 def test_threshold_sequence_against_reference():
     seq = bounds.threshold_sequence(11)
     assert [r.j for r in seq] == list(range(1, 12))

@@ -102,6 +102,18 @@ def test_flags_accepted_before_subcommand(capsys):
     assert "37/38" in out  # still listed among the candidates
 
 
+@pytest.mark.parametrize(
+    "flags, command",
+    [(["--depth", "5"], ["pairs", "--j", "2"]), (["--format", "json"], ["shift-ranges"])],
+    ids=["depth-pairs", "format-shift-ranges"],
+)
+def test_global_flags_same_before_and_after_subcommand(capsys, flags, command):
+    rc_before, before, _ = _run(capsys, flags + command)
+    rc_after, after, _ = _run(capsys, command + flags)
+    assert rc_before == rc_after == 0
+    assert before == after
+
+
 def test_moment_csv_header(capsys):
     rc, out, _ = _run(
         capsys,

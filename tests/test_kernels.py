@@ -1,19 +1,9 @@
-"""Backend parity for the hot kernels and the fallback selection flag."""
-
-import os
-import subprocess
-import sys
+"""The hot kernels against independent routes: mpmath zeta, fsum, divisor counts."""
 
 import numpy as np
 from mpmath import mp, mpc, workdps
 
 from zetalab import _kernels, zetanum
-
-
-def test_implementations_reported():
-    impls = _kernels.implementations()
-    assert "numpy" in impls
-    assert _kernels.BACKEND in impls
 
 
 def test_line_zeta_matches_reference():
@@ -27,31 +17,6 @@ def test_line_zeta_matches_reference():
                 assert abs(got[i] - ref) < 5e-12, (sigma, t)
 
 
-def test_backend_parity():
-    impls = _kernels.implementations()
-    if len(impls) < 2:
-        return  # compiled backend unavailable; nothing to compare
-    rng = np.random.default_rng(3)
-    ts = np.sort(rng.uniform(2.0, 800.0, size=64))
-    a = impls["numba"].line_zeta(0.6, ts)
-    b = impls["numpy"].line_zeta(0.6, ts)
-    assert np.max(np.abs(a - b)) < 1e-12
-
-    f = rng.integers(0, 100, size=5001).astype(np.int64)
-    f[0] = 0
-    assert np.array_equal(impls["numba"].conv_with_ones(f), impls["numpy"].conv_with_ones(f))
-
-    d4 = rng.integers(1, 30, size=5001).astype(np.int64)
-    dl = rng.integers(1, 9, size=5001).astype(np.int64)
-    d4[0] = dl[0] = 0
-    wa = impls["numba"].weighted_combine(d4, dl, 0.35)
-    wb = impls["numpy"].weighted_combine(d4, dl, 0.35)
-    assert np.array_equal(wa, wb)  # identical summation order: bitwise equal
-
-    x = rng.standard_normal(20001)
-    assert np.array_equal(impls["numba"].running_sum(x), impls["numpy"].running_sum(x))
-
-
 def test_running_sum_compensated():
     # compensated accumulation keeps the error far below naive cumsum drift
     rng = np.random.default_rng(5)
@@ -61,18 +26,6 @@ def test_running_sum_compensated():
 
     exact_tail = math.fsum(x)
     assert abs(got[-1] - exact_tail) <= 1e-6 * abs(exact_tail) + 1e-3
-
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, ZETALAB_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from zetalab import _kernels; print(_kernels.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
 
 
 def test_conv_with_ones_is_divisor_convolution():
