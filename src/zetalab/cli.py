@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -64,16 +64,13 @@ class RunConfig:
         if self.fmt is not None and self.fmt not in _FORMATS:
             raise DomainError(f"unknown format {self.fmt!r}")
 
+    def hashed_fields(self) -> dict:
+        """Every field but the command and the output format and directory."""
+        skip = ("command", "fmt", "out")
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
+
     def config_hash(self) -> str:
-        doc = {
-            "command": self.command,
-            "precision": self.precision,
-            "depth": self.depth,
-            "variant": self.variant,
-            "tol": self.tol,
-            "ceiling": self.ceiling,
-            "extras": list(self.extras),
-        }
+        doc = {"command": self.command, **self.hashed_fields()}
         blob = json.dumps(doc, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:8]
 
@@ -127,9 +124,18 @@ def _fmt(v) -> str:
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, float):
         return f"{v:.12g}"
-    if isinstance(v, int):
-        return str(v)
     return str(v)
+
+
+def _check_cells(c: dict) -> list:
+    """Label, reference, computed, difference and tolerance of a check row."""
+    return [
+        c["label"],
+        _fmt(c["reference"]),
+        _fmt(c["computed"]),
+        _fmt(c["abs_diff"]),
+        f"{c['tol']:g}",
+    ]
 
 
 def _jsonable(v):
@@ -138,6 +144,13 @@ def _jsonable(v):
     if isinstance(v, float) and not math.isfinite(v):
         return str(v)
     return v
+
+
+def _md_section(title: str, columns: Sequence[str], rows: Sequence[Sequence[str]]) -> list:
+    """A headed markdown table of formatted cells, followed by a blank line."""
+    lines = [f"## {title}", "", "| " + " | ".join(columns) + " |"]
+    lines.append("|" + "|".join(" --- " for _ in columns) + "|")
+    return lines + ["| " + " | ".join(row) + " |" for row in rows] + [""]
 
 
 def render_markdown(report: Report) -> str:
@@ -150,35 +163,16 @@ def render_markdown(report: Report) -> str:
     )
     lines.append("")
     for table in report.tables:
-        lines.append(f"## {table['name']}")
-        lines.append("")
-        lines.append("| " + " | ".join(table["columns"]) + " |")
-        lines.append("|" + "|".join(" --- " for _ in table["columns"]) + "|")
-        for row in table["rows"]:
-            lines.append("| " + " | ".join(_fmt(v) for v in row) + " |")
-        lines.append("")
+        rows = [[_fmt(v) for v in row] for row in table["rows"]]
+        lines += _md_section(table["name"], table["columns"], rows)
     if report.checks:
-        lines.append("## reference checks")
-        lines.append("")
-        lines.append("| label | reference value | computed | abs diff | tol | status |")
-        lines.append("|" + "|".join(" --- " for _ in range(6)) + "|")
-        for c in report.checks:
-            status = "ok" if c["ok"] else ("MISMATCH" if c["gated"] else "mismatch (not gated)")
-            lines.append(
-                "| "
-                + " | ".join(
-                    [
-                        c["label"],
-                        _fmt(c["reference"]),
-                        _fmt(c["computed"]),
-                        _fmt(c["abs_diff"]),
-                        f"{c['tol']:g}",
-                        status,
-                    ]
-                )
-                + " |"
-            )
-        lines.append("")
+        rows = [
+            _check_cells(c)
+            + ["ok" if c["ok"] else ("MISMATCH" if c["gated"] else "mismatch (not gated)")]
+            for c in report.checks
+        ]
+        columns = ["label", "reference value", "computed", "abs diff", "tol", "status"]
+        lines += _md_section("reference checks", columns, rows)
     for note in report.notes:
         lines.append(f"- {note}")
     if report.notes:
@@ -197,19 +191,7 @@ def render_csv(report: Report) -> str:
     if report.checks:
         lines = ["# reference checks", "label,reference,computed,abs_diff,tol,ok,gated"]
         for c in report.checks:
-            lines.append(
-                ",".join(
-                    [
-                        c["label"],
-                        _fmt(c["reference"]),
-                        _fmt(c["computed"]),
-                        _fmt(c["abs_diff"]),
-                        f"{c['tol']:g}",
-                        _fmt(c["ok"]),
-                        _fmt(c["gated"]),
-                    ]
-                )
-            )
+            lines.append(",".join(_check_cells(c) + [_fmt(c["ok"]), _fmt(c["gated"])]))
         chunks.append("\n".join(lines))
     return "\n\n".join(chunks) + "\n"
 
@@ -219,15 +201,7 @@ def render_json(report: Report) -> str:
     doc = {
         "schema": "zetalab.report.v1",
         "command": report.command,
-        "config": {
-            "precision": cfg.precision,
-            "depth": cfg.depth,
-            "variant": cfg.variant,
-            "tol": cfg.tol,
-            "ceiling": cfg.ceiling,
-            "extras": list(cfg.extras),
-            "hash": cfg.config_hash(),
-        },
+        "config": {**cfg.hashed_fields(), "hash": cfg.config_hash()},
         "tables": [
             {
                 "name": t["name"],
@@ -378,7 +352,7 @@ def cmd_shift_ranges(cfg: RunConfig) -> Report:
 def cmd_pairs(cfg: RunConfig, j: int) -> Report:
     report = Report("pairs", cfg)
     ranked = _pairs.rank_pairs(j, cfg.depth)
-    best_pair, best_bound = ranked[0]
+    best_bound = ranked[0][1]
     rows = [
         [pair.word or "(base)", pair.k, pair.l, bound, float(bound)]
         for pair, bound in ranked[:25]
@@ -391,7 +365,7 @@ def cmd_pairs(cfg: RunConfig, j: int) -> Report:
     report.add_table(
         "best pair",
         ["word", "k", "l", "bound"],
-        [[best_pair.word or "(base)", best_pair.k, best_pair.l, best_bound]],
+        [rows[0][:4]],
     )
     # reference rows certify that known bounds appear among the candidates;
     # a deeper search may legitimately improve on them, so the check is for
@@ -405,9 +379,11 @@ def cmd_pairs(cfg: RunConfig, j: int) -> Report:
     return report
 
 
-def cmd_moment(cfg: RunConfig, t_lo: float, t_hi: float, sigma: float, j: int, tols) -> Report:
+def cmd_moment(cfg: RunConfig, t_lo: float, t_hi: float, sigma: float, j: int,
+               trace: Optional[str]) -> Report:
     from . import moments as _moments
 
+    tols = [float(t) for t in trace.split(",")] if trace else [cfg.tol]
     report = Report("moment", cfg)
     samples = _moments.hybrid_moment_trace(
         t_lo, t_hi, sigma, j, rel_tols=tols, panel_ceiling=cfg.ceiling
@@ -470,14 +446,26 @@ def cmd_divisor(cfg: RunConfig, ell: int, a: float, eps: float) -> Report:
     return report
 
 
+# Per bound table: title, default grid (start, stop), value function of
+# (x, variant), and its reference check (label, x, reference value), taken
+# without a variant. An exact reference is compared exactly, a decimal one
+# within --tol.
+_BOUND_TABLES = {
+    "excess": ("fourth-moment excess exponent", (4.0, 40.0),
+               lambda x, variant: _bounds.moment_excess(x),
+               ("excess at 16/3", Fraction(16, 3), Fraction(1, 6))),
+    "order": ("max bounded moment order", (0.625, 0.95),
+              lambda x, variant: _bounds.max_bounded_order(x, variant=variant),
+              ("order at 5/8", Fraction(5, 8), Fraction(8, 1))),
+    "pointwise": ("pointwise growth exponent", (float(Fraction(5, 7)), 0.999),
+                  lambda x, variant: _bounds.pointwise_exponent(x, variant=variant),
+                  ("pointwise exponent at 4/5", Fraction(4, 5), 0.0438170952)),
+}
+
+
 def cmd_bounds(cfg: RunConfig, table: str, start: Optional[float], stop: Optional[float], count: int) -> Report:
     report = Report("bounds", cfg)
-    defaults = {
-        "excess": (4.0, 40.0),
-        "order": (0.625, 0.95),
-        "pointwise": (float(Fraction(5, 7)), 0.999),
-    }
-    lo, hi = defaults[table]
+    title, (lo, hi), value, (label, x_ref, ref) = _BOUND_TABLES[table]
     lo = lo if start is None else start
     hi = hi if stop is None else stop
     if not (hi > lo):
@@ -485,46 +473,16 @@ def cmd_bounds(cfg: RunConfig, table: str, start: Optional[float], stop: Optiona
     if count < 2:
         raise DomainError(f"grid needs at least 2 points, got {count}")
     grid = [lo + i * (hi - lo) / (count - 1) for i in range(count)]
-    rows = []
-    values = []
-    for x in grid:
-        if table == "excess":
-            v = float(_bounds.moment_excess(Fraction(x).limit_denominator(10**12)))
-        elif table == "order":
-            v = float(_bounds.max_bounded_order(Fraction(x).limit_denominator(10**12), variant=cfg.variant))
-        else:
-            v = float(_bounds.pointwise_exponent(Fraction(x).limit_denominator(10**12), variant=cfg.variant))
-        values.append(v)
-        rows.append([x, v])
-    names = {
-        "excess": "fourth-moment excess exponent",
-        "order": "max bounded moment order",
-        "pointwise": "pointwise growth exponent",
-    }
-    report.add_table(names[table], ["x", "value"], rows)
+    values = [float(value(Fraction(x).limit_denominator(10**12), cfg.variant)) for x in grid]
+    report.add_table(title, ["x", "value"], [[x, v] for x, v in zip(grid, values)])
+    computed = value(x_ref, None)
+    if isinstance(ref, Fraction):
+        report.add_check(label, ref, computed, 0.0)
+    else:
+        report.add_check(label, ref, float(computed), cfg.tol)
     if table == "excess":
-        report.add_check(
-            "excess at 16/3",
-            Fraction(1, 6),
-            _bounds.moment_excess(Fraction(16, 3)),
-            0.0,
-        )
         monotone = all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
         report.notes.append(f"nondecreasing over grid: {'yes' if monotone else 'NO'}")
-    elif table == "order":
-        report.add_check(
-            "order at 5/8",
-            Fraction(8, 1),
-            _bounds.max_bounded_order(Fraction(5, 8)),
-            0.0,
-        )
-    else:
-        report.add_check(
-            "pointwise exponent at 4/5",
-            0.0438170952,
-            float(_bounds.pointwise_exponent(Fraction(4, 5))),
-            cfg.tol,
-        )
     if cfg.variant:
         report.notes.append(f"variant in effect: {cfg.variant}")
     return report
@@ -535,6 +493,36 @@ def cmd_bounds(cfg: RunConfig, table: str, start: Optional[float], stop: Optiona
 # ---------------------------------------------------------------------------
 
 
+# Per subcommand: handler, help text, and its own options as flag -> argparse
+# keywords. The handler takes the own options as keyword arguments; sorted by
+# name they are the config-hash extras.
+_COMMANDS = {
+    "thresholds": (cmd_thresholds, "moment threshold sequence and closed-form rows", {}),
+    "shift-ranges": (cmd_shift_ranges, "admissible shift ranges by weight", {}),
+    "pairs": (cmd_pairs, "exponent-pair search for the abscissa bound", {
+        "--j": dict(type=int, default=2, help="moment weight"),
+    }),
+    "moment": (cmd_moment, "quadrature of the hybrid fourth moment", {
+        "--t-lo": dict(type=float, default=0.0),
+        "--t-hi": dict(type=float, default=1000.0),
+        "--sigma": dict(type=float, default=0.75),
+        "--j": dict(type=int, default=1),
+        "--trace": dict(help="comma-separated decreasing relative tolerances (overrides --tol)"),
+    }),
+    "divisor": (cmd_divisor, "weighted divisor tables, main terms, error trend", {
+        "--ell": dict(type=int, default=2),
+        "--a": dict(type=float, default=0.35),
+        "--eps": dict(type=float, default=0.05, help="trend column normalizes |E| by X^(1/2+eps)"),
+    }),
+    "bounds": (cmd_bounds, "grids of the piecewise bound tables", {
+        "--table": dict(choices=list(_BOUND_TABLES), default="order"),
+        "--start": dict(type=float),
+        "--stop": dict(type=float),
+        "--count": dict(type=int, default=49),
+    }),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise DomainError(message)
@@ -543,12 +531,12 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     # The common options are valid before and after the subcommand. They
     # carry no default, so a subparser that does not see a flag keeps the
-    # value parsed before the subcommand; _run supplies the defaults.
+    # value parsed before the subcommand; RunConfig supplies the defaults.
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     g = common.add_argument_group("common options")
     g.add_argument("--precision", type=int, help="working significant digits (>= 15)")
     g.add_argument("--depth", type=int, help="search/recursion depth (<= 12)")
-    g.add_argument("--variant", choices=["ivic-ouellet", "ford"],
+    g.add_argument("--variant", choices=_VARIANTS[1:],
                    help="optional sharpened bound variant")
     g.add_argument("--tol", type=float,
                    help="tolerance: reference-row gate, or quadrature target for 'moment'")
@@ -560,84 +548,24 @@ def _build_parser() -> _Parser:
 
     parser = _Parser(prog="zetalab", description=__doc__.splitlines()[0], parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("thresholds", parents=[common],
-                   help="moment threshold sequence and closed-form rows")
-    sub.add_parser("shift-ranges", parents=[common],
-                   help="admissible shift ranges by weight")
-
-    p = sub.add_parser("pairs", parents=[common],
-                       help="exponent-pair search for the abscissa bound")
-    p.add_argument("--j", type=int, default=2, help="moment weight")
-
-    p = sub.add_parser("moment", parents=[common],
-                       help="quadrature of the hybrid fourth moment")
-    p.add_argument("--t-lo", type=float, default=0.0)
-    p.add_argument("--t-hi", type=float, default=1000.0)
-    p.add_argument("--sigma", type=float, default=0.75)
-    p.add_argument("--j", type=int, default=1)
-    p.add_argument("--trace", default=None,
-                   help="comma-separated decreasing relative tolerances (overrides --tol)")
-
-    p = sub.add_parser("divisor", parents=[common],
-                       help="weighted divisor tables, main terms, error trend")
-    p.add_argument("--ell", type=int, default=2)
-    p.add_argument("--a", type=float, default=0.35)
-    p.add_argument("--eps", type=float, default=0.05,
-                   help="trend column normalizes |E| by X^(1/2+eps)")
-
-    p = sub.add_parser("bounds", parents=[common],
-                       help="grids of the piecewise bound tables")
-    p.add_argument("--table", choices=["excess", "order", "pointwise"], default="order")
-    p.add_argument("--start", type=float, default=None)
-    p.add_argument("--stop", type=float, default=None)
-    p.add_argument("--count", type=int, default=49)
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def _run(argv: Sequence[str]) -> int:
-    args = _build_parser().parse_args(argv)
-    command = args.command
-    tol_default = {"moment": 1e-3}.get(command, 1.0e-5)
-    ceiling_default = {"moment": 200_000}.get(command, 10**6)
-    extras: list = []
-    if command == "pairs":
-        extras = [("j", args.j)]
-    elif command == "moment":
-        extras = [("j", args.j), ("sigma", args.sigma), ("t_hi", args.t_hi),
-                  ("t_lo", args.t_lo), ("trace", args.trace)]
-    elif command == "divisor":
-        extras = [("a", args.a), ("ell", args.ell), ("eps", args.eps)]
-    elif command == "bounds":
-        extras = [("count", args.count), ("start", args.start),
-                  ("stop", args.stop), ("table", args.table)]
-    cfg = RunConfig(
-        command=command,
-        precision=getattr(args, "precision", 30),
-        depth=getattr(args, "depth", 11),
-        variant=getattr(args, "variant", None),
-        tol=getattr(args, "tol", tol_default),
-        ceiling=getattr(args, "ceiling", ceiling_default),
-        fmt=getattr(args, "fmt", None),
-        out=getattr(args, "out", None),
-        extras=tuple(extras),
-    )
-    if command == "thresholds":
-        report = cmd_thresholds(cfg)
-    elif command == "shift-ranges":
-        report = cmd_shift_ranges(cfg)
-    elif command == "pairs":
-        report = cmd_pairs(cfg, args.j)
-    elif command == "moment":
-        if args.trace:
-            tols = [float(t) for t in args.trace.split(",")]
-        else:
-            tols = [cfg.tol]
-        report = cmd_moment(cfg, args.t_lo, args.t_hi, args.sigma, args.j, tols)
-    elif command == "divisor":
-        report = cmd_divisor(cfg, args.ell, args.a, args.eps)
-    else:
-        report = cmd_bounds(cfg, args.table, args.start, args.stop, args.count)
+    # The parsed namespace holds the RunConfig fields that were given and
+    # every option of the subcommand; RunConfig fills the missing defaults.
+    args = vars(_build_parser().parse_args(argv))
+    handler = _COMMANDS[args["command"]][0]
+    config_fields = {f.name for f in fields(RunConfig)}
+    own = {k: args.pop(k) for k in sorted(args) if k not in config_fields}
+    # the quadrature defaults to a looser tolerance and a panel budget
+    defaults = {"tol": 1e-3, "ceiling": 200_000} if args["command"] == "moment" else {}
+    cfg = RunConfig(**{**defaults, **args}, extras=tuple(own.items()))
+    report = handler(cfg, **own)
     emit(report)
     if report.gate_failed():
         sys.stderr.write("one or more gated reference checks failed\n")
@@ -648,9 +576,6 @@ def _run(argv: Sequence[str]) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _run(list(sys.argv[1:] if argv is None else argv))
-    except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DOMAIN
     except PrecisionError as exc:
         sys.stderr.write(f"precision error: {exc}\n")
         return EXIT_PRECISION

@@ -76,8 +76,8 @@ def weighted_divisor_table(ell: int, a, N: int) -> DivisorLedger:
     """Ledger for the weighted convolution with shift a in [0, 1/2).
 
     combined[n] = sum over n = q*e of d4(q) * dell(e) * e^(-a). At a = 0
-    this collapses exactly to the (4+ell)-dimensional divisor counts, and
-    the table is built that way (integer convolution, then cast).
+    every weight is 1, so the table holds the (4+ell)-dimensional divisor
+    counts exactly (integer-valued float64 sums).
     """
     if not (isinstance(ell, int) and ell >= 1):
         raise DomainError(f"ell must be a positive integer, got {ell!r}")
@@ -86,10 +86,7 @@ def weighted_divisor_table(ell: int, a, N: int) -> DivisorLedger:
         raise DomainError(f"shift a must lie in [0, 1/2), got {a}")
     d4 = sieve_divisor_counts(4, N)
     dell = sieve_divisor_counts(ell, N)
-    if a_f == 0.0:
-        combined = sieve_divisor_counts(4 + ell, N).astype(np.float64)
-    else:
-        combined = _kernels.weighted_combine(d4, dell, a_f)
+    combined = _kernels.weighted_combine(d4, dell, a_f)
     summatory = _kernels.running_sum(combined)
     return DivisorLedger(
         ell=ell,
@@ -171,19 +168,14 @@ def _moments_to_coeffs(moments: Sequence[mpc]) -> list[float]:
     return out
 
 
-def main_terms(
-    ell: int,
-    a,
-    dps: int = 30,
-    nodes: int = CONTOUR_NODES_DEFAULT,
-    rel_tol: float = CONTOUR_REL_TOL_DEFAULT,
-) -> MainTermPolynomial:
+def main_terms(ell: int, a, dps: int = 30) -> MainTermPolynomial:
     """Main-term polynomials from contour Laurent moments at both poles.
 
-    Radii r = min(a, 1-a, 1/4)/4 and r/2 are both run; any coefficient
-    disagreeing by more than rel_tol relative raises PrecisionError with
-    the advice to raise dps. a = 0 merges the poles and is rejected; use
-    the unweighted path (divisor dimension 4+ell) instead.
+    Radii r = min(a, 1-a, 1/4)/4 and r/2 are both run with
+    CONTOUR_NODES_DEFAULT nodes; any coefficient disagreeing by more than
+    CONTOUR_REL_TOL_DEFAULT relative raises PrecisionError with the advice
+    to raise dps. a = 0 merges the poles and is rejected; use the
+    unweighted path (divisor dimension 4+ell) instead.
     """
     if not (isinstance(ell, int) and ell >= 1):
         raise DomainError(f"ell must be a positive integer, got {ell!r}")
@@ -198,8 +190,8 @@ def main_terms(
     r = min(a_f, 1.0 - a_f, 0.25) / 4.0
     runs = []
     for radius in (r, r / 2.0):
-        f_pole = _laurent_moments(1, 4, radius, ell, a_f, dps, nodes)
-        g_pole = _laurent_moments(1.0 - a_f, ell, radius, ell, a_f, dps, nodes)
+        f_pole = _laurent_moments(1, 4, radius, ell, a_f, dps, CONTOUR_NODES_DEFAULT)
+        g_pole = _laurent_moments(1.0 - a_f, ell, radius, ell, a_f, dps, CONTOUR_NODES_DEFAULT)
         imag_leak = max(
             [abs(float(mp.im(v))) for v in f_pole + g_pole]
         )
@@ -211,10 +203,10 @@ def main_terms(
     for u, v in zip(c1 + cp1, c2 + cp2):
         scale = max(abs(u), abs(v), 1e-30)
         worst = max(worst, abs(u - v) / scale)
-    if worst > rel_tol:
+    if worst > CONTOUR_REL_TOL_DEFAULT:
         raise PrecisionError(
             f"contour coefficients differ by {worst:.3g} relative between "
-            f"radii {r:g} and {r/2:g} (tolerance {rel_tol:g}); raise dps"
+            f"radii {r:g} and {r/2:g} (tolerance {CONTOUR_REL_TOL_DEFAULT:g}); raise dps"
         )
     return MainTermPolynomial(
         ell=ell,
@@ -224,7 +216,7 @@ def main_terms(
         diagnostics={
             "radius": r,
             "radius_check": r / 2.0,
-            "nodes": nodes,
+            "nodes": CONTOUR_NODES_DEFAULT,
             "dps": dps,
             "max_rel_discrepancy": worst,
             "max_imag_leak": max(leak1, leak2),
@@ -339,8 +331,8 @@ def dirichlet_identity_check(
 # ---------------------------------------------------------------------------
 
 
-def error_term(ledger: DivisorLedger, poly: MainTermPolynomial, X: float) -> float:
-    """Exact summatory at X minus both main-term polynomials.
+def _summatory_and_main(ledger: DivisorLedger, poly: MainTermPolynomial, X: float) -> tuple:
+    """Exact summatory and main term at X, after checking the arguments.
 
     X may sit below 1 (empty sum); X beyond the ledger ceiling is a range
     error. The polynomial must describe the same (ell, a) as the ledger.
@@ -354,7 +346,13 @@ def error_term(ledger: DivisorLedger, poly: MainTermPolynomial, X: float) -> flo
         raise DomainError(f"X must be positive, got {X}")
     if X > ledger.N:
         raise DomainError(f"X = {X} beyond ledger ceiling N = {ledger.N}")
-    return ledger.summatory_at(X) - poly.evaluate(X)
+    return ledger.summatory_at(X), poly.evaluate(X)
+
+
+def error_term(ledger: DivisorLedger, poly: MainTermPolynomial, X: float) -> float:
+    """Exact summatory at X minus both main-term polynomials."""
+    S, M = _summatory_and_main(ledger, poly, X)
+    return S - M
 
 
 def error_trend(
@@ -363,11 +361,11 @@ def error_trend(
     Xs: Sequence[float],
     eps: float = 0.05,
 ) -> list[dict]:
-    """Rows (X, summatory, main_term, E, |E|/X^(1/2+eps)) for each X."""
+    """Rows (X, summatory, main_term, E, |E|/X^(1/2+eps)) for each X, with
+    E equal to error_term at X and the same validation."""
     rows = []
     for X in Xs:
-        S = ledger.summatory_at(X)
-        M = poly.evaluate(X)
+        S, M = _summatory_and_main(ledger, poly, X)
         E = S - M
         rows.append(
             {

@@ -306,6 +306,17 @@ def test_error_trend_rows(ledger_2_035, poly_2_035):
         assert r["summatory"] - r["main_term"] == r["E"]
 
 
+def test_error_trend_validation(ledger_2_035, poly_2_035, poly_1_04):
+    # the rows go through error_term's checks: a polynomial for another
+    # (ell, a) and an X outside (0, N] are rejected, not tabulated
+    with pytest.raises(DomainError):
+        error_trend(ledger_2_035, poly_1_04, [10**3])
+    with pytest.raises(DomainError):
+        error_trend(ledger_2_035, poly_2_035, [0.0])
+    with pytest.raises(DomainError):
+        error_trend(ledger_2_035, poly_2_035, [10**5 + 1])
+
+
 def test_trend_csv_header(ledger_2_035, poly_2_035):
     rows = error_trend(ledger_2_035, poly_2_035, [10**3], eps=0.05)
     text = trend_to_csv(rows, eps=0.05)
