@@ -23,11 +23,13 @@ with _workdps(30):
 
 
 def line_zeta(sigma: float, ts: np.ndarray) -> np.ndarray:
-    """zeta(sigma + i t) for a batch of t >= 0, absolute error ~1e-12.
+    """zeta(sigma + i t) for a batch of t >= 0.
 
     Euler-Maclaurin with truncation N ~ 0.6 * max t and 12 tail terms;
-    float64 throughout, validated against the high-precision path up to
-    t = 5000 at 2e-12. sigma = 1 with t = 0 in the batch hits the pole.
+    float64 throughout. For sigma in [1/2, 1] and t up to 1e5 the absolute
+    error stays below 1e-12 + 1e-14 * t: the rounding of the phases t log n
+    grows with t (against mpmath.zeta, at most 4.3e-15 * t, at sigma = 1/2).
+    sigma = 1 with t = 0 in the batch hits the pole.
     """
     ts = np.asarray(ts, dtype=np.float64)
     tmax = float(np.max(np.abs(ts))) if ts.size else 0.0

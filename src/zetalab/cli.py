@@ -383,7 +383,10 @@ def cmd_moment(cfg: RunConfig, t_lo: float, t_hi: float, sigma: float, j: int,
                trace: Optional[str]) -> Report:
     from . import moments as _moments
 
-    tols = [float(t) for t in trace.split(",")] if trace else [cfg.tol]
+    try:
+        tols = [float(t) for t in trace.split(",")] if trace else [cfg.tol]
+    except ValueError:
+        raise DomainError(f"--trace takes comma-separated numbers, got {trace!r}") from None
     report = Report("moment", cfg)
     samples = _moments.hybrid_moment_trace(
         t_lo, t_hi, sigma, j, rel_tols=tols, panel_ceiling=cfg.ceiling
@@ -446,13 +449,18 @@ def cmd_divisor(cfg: RunConfig, ell: int, a: float, eps: float) -> Report:
     return report
 
 
+def _moment_excess(x, variant):
+    if variant is not None:
+        raise DomainError(f"the excess table takes no variant, got {variant!r}")
+    return _bounds.moment_excess(x)
+
+
 # Per bound table: title, default grid (start, stop), value function of
 # (x, variant), and its reference check (label, x, reference value), taken
 # without a variant. An exact reference is compared exactly, a decimal one
 # within --tol.
 _BOUND_TABLES = {
-    "excess": ("fourth-moment excess exponent", (4.0, 40.0),
-               lambda x, variant: _bounds.moment_excess(x),
+    "excess": ("fourth-moment excess exponent", (4.0, 40.0), _moment_excess,
                ("excess at 16/3", Fraction(16, 3), Fraction(1, 6))),
     "order": ("max bounded moment order", (0.625, 0.95),
               lambda x, variant: _bounds.max_bounded_order(x, variant=variant),

@@ -111,14 +111,14 @@ def _series_factor(s: mpc, ell: int, a, dps: int) -> mpc:
     return za**4 * zb**ell / s
 
 
-def _laurent_moments(
-    pole, order: int, radius, ell: int, a, dps: int, nodes: int
-) -> list[mpc]:
+def _laurent_moments(pole, order: int, radius, ell: int, a, dps: int) -> list[mpc]:
     """Principal-part coefficients f_{-1}..f_{-order} at the given pole.
 
-    f_{-i} is the mean over the circle of F(s) * (s - pole)^i; trapezoid on
-    a circle converges spectrally for the analytic integrand.
+    f_{-i} is the mean over the circle of F(s) * (s - pole)^i at
+    CONTOUR_NODES_DEFAULT nodes; trapezoid on a circle converges spectrally
+    for the analytic integrand.
     """
+    nodes = CONTOUR_NODES_DEFAULT
     with _MP_LOCK:
         with workdps(dps + 10):
             p = mpc(pole)
@@ -190,8 +190,8 @@ def main_terms(ell: int, a, dps: int = 30) -> MainTermPolynomial:
     r = min(a_f, 1.0 - a_f, 0.25) / 4.0
     runs = []
     for radius in (r, r / 2.0):
-        f_pole = _laurent_moments(1, 4, radius, ell, a_f, dps, CONTOUR_NODES_DEFAULT)
-        g_pole = _laurent_moments(1.0 - a_f, ell, radius, ell, a_f, dps, CONTOUR_NODES_DEFAULT)
+        f_pole = _laurent_moments(1, 4, radius, ell, a_f, dps)
+        g_pole = _laurent_moments(1.0 - a_f, ell, radius, ell, a_f, dps)
         imag_leak = max(
             [abs(float(mp.im(v))) for v in f_pole + g_pole]
         )
@@ -244,14 +244,14 @@ class IdentityCheck:
 
 
 @lru_cache(maxsize=None)
-def _unweighted_main_coeffs(m: int, dps: int = 30) -> tuple:
-    """Coefficients q_k with sum_{n<=x} d_m(n) ~ x * sum q_k log^k x."""
+def _unweighted_main_coeffs(m: int) -> tuple:
+    """Coefficients q_k with sum_{n<=x} d_m(n) ~ x * sum q_k log^k x, at 30 digits."""
     if m < 4:
         raise DomainError(f"majorant dimension must be >= 4, got {m}")
     # the series factor is zeta^4 * zeta(.+a)^ell / s; with a = 0 and
     # ell = m - 4 it collapses to zeta^m / s, whose order-m pole at 1
     # carries the d_m main-term coefficients
-    mom = _laurent_moments(1, m, 0.0625, m - 4, 0.0, dps, CONTOUR_NODES_DEFAULT)
+    mom = _laurent_moments(1, m, 0.0625, m - 4, 0.0, 30)
     return tuple(_moments_to_coeffs(mom))
 
 

@@ -7,9 +7,10 @@ adaptive worst-panel bisection does the rest. Panel results are reduced in
 ascending interval order, so a run's output is reproducible bit for bit for
 a given configuration regardless of how the panels were scheduled.
 
-Node values come from the float64 line-batch kernel (abs error ~1e-12,
-far below any quadrature tolerance accepted here); the 25-digit path in
-zetanum is used by the test suite to validate that kernel, not per node.
+Node values come from the float64 line-batch kernel (abs error below
+1e-12 + 1e-14 * t up to T_CEILING, far below any quadrature tolerance
+accepted here); the 25-digit path in zetanum is used by the test suite to
+validate that kernel, not per node.
 """
 
 from __future__ import annotations
@@ -128,13 +129,7 @@ def hybrid_moment_trace(
         raise DomainError(f"rel_tols must be strictly decreasing, got {rel_tols}")
     _validate(t_lo, t_hi, sigma, j, tols[-1])
 
-    if t_lo == t_hi:
-        return [
-            MomentSample(t_lo, t_hi, sigma, j, 0.0, 0.0, {"panels": 0, "converged": True})
-            for _ in tols
-        ]
-
-    # initial panels by the phase rule
+    # initial panels by the phase rule; none when t_lo == t_hi
     edges = [t_lo]
     while edges[-1] < t_hi:
         edges.append(min(t_hi, edges[-1] + _panel_width(edges[-1])))

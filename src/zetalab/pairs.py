@@ -2,23 +2,25 @@
 breadth-first search for the pair minimizing the hybrid-moment sigma bound.
 
 Pairs are exact rationals with the generating word recorded for provenance.
-Infeasibility of a pair for a given bound is a value, not an error, so the
-search can rank near-misses.
+The search walks distinct (k, l) values level by level, so a value costs two
+process applications however many words reach it. Infeasibility of a pair
+for a given bound is a value, not an error, so the search can rank
+near-misses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Optional, Sequence, Union
+from typing import Union
 
 from .errors import DomainError
 
 # Feasibility marker returned where a closed-form bound does not apply.
 INFEASIBLE = "infeasible"
 
-BASE_PAIRS_DEFAULT = (
+# Every A/B word starts from one of these pairs.
+BASE_PAIRS = (
     (Fraction(0), Fraction(1)),
     (Fraction(1, 6), Fraction(2, 3)),
 )
@@ -42,9 +44,6 @@ class ExponentPair:
                 f"not an exponent pair: k={self.k}, l={self.l} "
                 "(need 0 <= k <= 1/2 <= l <= 1)"
             )
-
-    def as_floats(self) -> tuple[float, float]:
-        return float(self.k), float(self.l)
 
 
 def make_pair(k, l, word: str = "") -> ExponentPair:
@@ -92,50 +91,44 @@ def pointwise_bound_from_pair(pair: ExponentPair, sigma) -> Fraction:
     return (pair.k + pair.l - s) / 2
 
 
-def generate_pairs(
-    max_word_length: int,
-    base_pairs: Sequence[tuple[Fraction, Fraction]] = BASE_PAIRS_DEFAULT,
-) -> list[ExponentPair]:
-    """All pairs reachable by A/B words up to the given length, deduplicated.
+def generate_pairs(max_word_length: int) -> list[ExponentPair]:
+    """All pairs reachable by A/B words up to the given length, one per value.
 
-    Deduplication keeps one pair per exact (k, l) value, preferring the
-    shortest word and then the lexicographically smallest. Deterministic.
+    Each (k, l) value keeps its shortest word, then the lexicographically
+    smallest; the list is ordered by word length, then word. Breadth-first
+    over values: each level is taken in word order, and a pair is kept, and
+    expanded by A and B, only if its value is new. The best word for a value
+    extends the best word for its parent's value, so none is missed.
+    Deterministic.
     """
     if max_word_length < 0:
         raise DomainError(f"max_word_length must be >= 0, got {max_word_length}")
-    best: dict[tuple[Fraction, Fraction], ExponentPair] = {}
-
-    def consider(p: ExponentPair) -> None:
-        key = (p.k, p.l)
-        cur = best.get(key)
-        if cur is None or (len(p.word), p.word) < (len(cur.word), cur.word):
-            best[key] = p
-
-    for k, l in base_pairs:
-        consider(ExponentPair(k, l))
-    for length in range(1, max_word_length + 1):
-        for letters in product("AB", repeat=length):
-            for k, l in base_pairs:
-                p = ExponentPair(k, l)
-                for letter in letters:
-                    p = process_A(p) if letter == "A" else process_B(p)
-                consider(p)
-    return sorted(best.values(), key=lambda p: (len(p.word), p.word, p.k, p.l))
+    found: list[ExponentPair] = []
+    seen: set[tuple[Fraction, Fraction]] = set()
+    level = [ExponentPair(k, l) for k, l in BASE_PAIRS]
+    for length in range(max_word_length + 1):
+        if length:
+            level = [step(p) for p in level for step in (process_A, process_B)]
+        kept = []
+        for p in sorted(level, key=lambda p: (p.word, p.k, p.l)):
+            if (p.k, p.l) not in seen:
+                seen.add((p.k, p.l))
+                kept.append(p)
+        found += kept
+        level = kept
+    return found
 
 
-def rank_pairs(
-    j: int,
-    max_word_length: int,
-    base_pairs: Sequence[tuple[Fraction, Fraction]] = BASE_PAIRS_DEFAULT,
-) -> list[tuple[ExponentPair, Fraction]]:
+def rank_pairs(j: int, max_word_length: int) -> list[tuple[ExponentPair, Fraction]]:
     """Feasible (pair, hybrid_sigma_bound) entries at index j, best first.
 
-    Enumerates all A/B words up to max_word_length over the base pairs.
-    Order: smaller bound, then shorter word, then lexicographic word.
+    Ranks the pairs of generate_pairs, one per value reachable by an A/B
+    word up to max_word_length. Order: smaller bound, then shorter word,
+    then lexicographic word.
     Raises DomainError if no feasible pair exists at this depth.
     """
     ranked = []
-    for p in generate_pairs(max_word_length, base_pairs):
+    for p in generate_pairs(max_word_length):
         bound = hybrid_sigma_bound(j, p)
         if bound is not INFEASIBLE:
             ranked.append((p, bound))
@@ -147,12 +140,8 @@ def rank_pairs(
     return ranked
 
 
-def search_best_pair(
-    j: int,
-    max_word_length: int,
-    base_pairs: Sequence[tuple[Fraction, Fraction]] = BASE_PAIRS_DEFAULT,
-) -> tuple[ExponentPair, Fraction]:
+def search_best_pair(j: int, max_word_length: int) -> tuple[ExponentPair, Fraction]:
     """Feasible pair minimizing hybrid_sigma_bound at index j: the head of
     rank_pairs. Raises DomainError if no feasible pair exists at this depth.
     """
-    return rank_pairs(j, max_word_length, base_pairs)[0]
+    return rank_pairs(j, max_word_length)[0]

@@ -224,6 +224,20 @@ def test_exit_gate_failure(capsys):
     assert "gated reference checks failed" in err
 
 
+def test_exit_trace_not_a_number(capsys):
+    rc, out, err = _run(capsys, ["moment", "--t-hi", "100", "--trace", "1e-2,abc"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and "1e-2,abc" in err
+
+
+@pytest.mark.parametrize("variant", ["ford", "ivic-ouellet"])
+def test_exit_excess_table_rejects_variant(capsys, variant):
+    # the excess table has no variant; it must not report one as in effect
+    rc, out, err = _run(capsys, ["bounds", "--table", "excess", "--variant", variant])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and variant in err
+
+
 def test_exit_resource_ceiling(capsys):
     rc, _, err = _run(capsys, ["moment", "--t-hi", "200000"])
     assert rc == 3

@@ -1,9 +1,11 @@
 """The hot kernels against independent routes: mpmath zeta, fsum, divisor counts."""
 
+import mpmath
 import numpy as np
 from mpmath import mp, mpc, workdps
 
 from zetalab import _kernels, zetanum
+from zetalab.moments import T_CEILING
 
 
 def test_line_zeta_matches_reference():
@@ -15,6 +17,20 @@ def test_line_zeta_matches_reference():
             for i, t in enumerate(ts):
                 ref = complex(zetanum.zeta_eval(mpc(sigma, t)))
                 assert abs(got[i] - ref) < 5e-12, (sigma, t)
+
+
+def test_line_zeta_error_bound_up_to_t_ceiling():
+    # the documented bound 1e-12 + 1e-14 t, against mpmath's own zeta
+    # (Riemann-Siegel at large t), three seeded t per decade up to T_CEILING
+    rng = np.random.default_rng(11)
+    ts = 10.0 ** (np.repeat(np.arange(1, 5), 3) + rng.uniform(0, 1, 12))
+    ts = np.append(ts, T_CEILING)
+    for sigma in (0.5, 0.75, 1.0):
+        for t in ts:
+            got = _kernels.line_zeta(sigma, np.array([t]))[0]
+            with workdps(20):
+                ref = complex(mpmath.zeta(mpc(sigma, t)))
+            assert abs(got - ref) < 1e-12 + 1e-14 * t, (sigma, t)
 
 
 def test_running_sum_compensated():

@@ -14,6 +14,13 @@ def test_zero_width_interval():
     s = moments.hybrid_moment(7.0, 7.0, 0.5, 0)
     assert s.value == 0.0 and s.error_estimate == 0.0
     assert s.converged
+    # an empty interval reports the same statistics as any other snapshot
+    trace = moments.hybrid_moment_trace(7.0, 7.0, 0.5, 1, [1e-2, 1e-3])
+    wide = moments.hybrid_moment_trace(7.0, 8.0, 0.5, 1, [1e-2, 1e-3])
+    for snap, other, tol in zip(trace, wide, (1e-2, 1e-3)):
+        assert snap.step_stats.keys() == other.step_stats.keys()
+        assert snap.step_stats == {"panels": 0, "initial_panels": 0, "refinements": 0,
+                                   "node_evals": 0, "converged": True, "rel_tol": tol}
 
 
 def test_validation_errors():

@@ -2,6 +2,7 @@
 bound, and the search."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -52,7 +53,8 @@ def test_pair_domain_enforced():
 
 
 def test_processes_preserve_domain():
-    # every word up to length 10 applied to the base pairs stays a valid pair
+    # every value a word up to length 10 reaches from the base pairs is a
+    # valid pair
     seen = pairs.generate_pairs(10)
     assert len(seen) > 20
     for p in seen:
@@ -66,6 +68,58 @@ def test_generate_pairs_dedupes_by_value():
     # the base pair is B-fixed, so it appears with the empty word, not "B"
     base = [p for p in got if (p.k, p.l) == (F(1, 6), F(2, 3))]
     assert len(base) == 1 and base[0].word == ""
+
+
+def _replay_pairs(max_word_length):
+    """Reference search: replay every A/B word over every base pair and keep,
+    per value, the shortest word, then the lexicographically smallest."""
+    best = {}
+    for length in range(max_word_length + 1):
+        for letters in product("AB", repeat=length):
+            for k, l in pairs.BASE_PAIRS:
+                p = pairs.ExponentPair(k, l)
+                for letter in letters:
+                    p = pairs.process_A(p) if letter == "A" else pairs.process_B(p)
+                cur = best.get((p.k, p.l))
+                if cur is None or (len(p.word), p.word) < (len(cur.word), cur.word):
+                    best[(p.k, p.l)] = p
+    return sorted(best.values(), key=lambda p: (len(p.word), p.word, p.k, p.l))
+
+
+@pytest.mark.parametrize("depth", range(11))
+def test_generate_pairs_matches_word_replay(depth):
+    got = [(p.k, p.l, p.word) for p in pairs.generate_pairs(depth)]
+    assert got == [(p.k, p.l, p.word) for p in _replay_pairs(depth)]
+
+
+def test_search_best_pair_matches_word_replay():
+    # a value is reachable within d letters exactly when its shortest word
+    # has at most d letters, so one replay to depth 12 serves every depth
+    replayed = _replay_pairs(12)
+    for j in range(1, 5):
+        for depth in range(13):
+            ranked = []
+            for p in replayed:
+                bound = pairs.hybrid_sigma_bound(j, p)
+                if len(p.word) <= depth and bound is not pairs.INFEASIBLE:
+                    ranked.append((bound, len(p.word), p.word, p.k, p.l))
+            if not ranked:
+                with pytest.raises(DomainError):
+                    pairs.search_best_pair(j, depth)
+                continue
+            best, bound = pairs.search_best_pair(j, depth)
+            assert (bound, len(best.word), best.word, best.k, best.l) == min(ranked), (j, depth)
+
+
+def test_generate_pairs_expands_each_value_once(monkeypatch):
+    # each distinct value costs at most one A and one B application; replaying
+    # every word from scratch costs about 180,000 at depth 12
+    calls = []
+    for name in ("process_A", "process_B"):
+        step = getattr(pairs, name)
+        monkeypatch.setattr(pairs, name, lambda p, step=step: calls.append(1) or step(p))
+    found = pairs.generate_pairs(12)
+    assert 0 < len(calls) <= 2 * len(found)
 
 
 def test_hybrid_sigma_bound_values():
