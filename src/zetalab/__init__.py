@@ -5,7 +5,7 @@ Layout:
     bounds    exact piecewise tables, convexity curve, threshold recursion
     pairs     van der Corput A/B process calculus and pair search
     zetanum   high-precision zeta, functional-equation factor
-    moments   adaptive quadrature of hybrid moments, log-polynomial fits
+    moments   adaptive quadrature of hybrid moments
     divisors  weighted divisor sieves, Perron residue main terms, error terms
     cli       command-line surface
 """

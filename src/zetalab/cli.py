@@ -437,8 +437,7 @@ def cmd_divisor(cfg: RunConfig, ell: int, a: float, eps: float) -> Report:
     )
     d = poly.diagnostics
     report.notes.append(
-        f"contour diagnostics: radius={d['radius']:g} check_radius={d['radius_check']:g} "
-        f"nodes={d['nodes']} dps={d['dps']} "
+        f"contour diagnostics: radius={d['radius']:g} nodes={d['nodes']} dps={d['dps']} "
         f"max_rel_discrepancy={d['max_rel_discrepancy']:.3g} "
         f"max_imag_leak={d['max_imag_leak']:.3g}"
     )

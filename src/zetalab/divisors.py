@@ -1,23 +1,22 @@
 """Weighted divisor tables, their summatory functions, Perron-style main
-terms via numerical Laurent extraction, and the resulting error terms.
+terms from Laurent series, and the resulting error terms.
 
 The weighted divisor function here is the Dirichlet convolution of the
 4-dimensional divisor counts with ell-dimensional counts damped by e^(-a):
 its generating series is zeta(s)^4 * zeta(s+a)^ell. Main terms come from
 the residues of that series times X^s/s at s = 1 (pole of order 4) and
-s = 1 - a (pole of order ell), extracted by contour moments on circles
-around each pole and cross-validated at two radii. The error term is the
-exact summatory minus both evaluated main-term polynomials.
+s = 1 - a (pole of order ell), read off products of truncated power series
+of zeta around each pole and checked against one contour per pole. The
+error term is the exact summatory minus both evaluated main-term
+polynomials.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from mpmath import mp, mpc, mpf, workdps
@@ -27,8 +26,8 @@ from .errors import CeilingError, DomainError, PrecisionError
 from .zetanum import _MP_LOCK, zeta_eval
 
 N_CEILING = 50_000_000
-CONTOUR_NODES_DEFAULT = 256
-CONTOUR_REL_TOL_DEFAULT = 1.0e-8
+CONTOUR_NODES = 32
+CONTOUR_REL_TOL = 1.0e-8
 
 
 def sieve_divisor_counts(k: int, N: int) -> np.ndarray:
@@ -100,33 +99,63 @@ def weighted_divisor_table(ell: int, a, N: int) -> DivisorLedger:
 
 
 # ---------------------------------------------------------------------------
-# Laurent moments by contour integration and the main-term polynomials.
+# Principal parts by truncated power series, checked by one contour, and the
+# main-term polynomials.
 # ---------------------------------------------------------------------------
 
 
-def _series_factor(s: mpc, ell: int, a, dps: int) -> mpc:
-    """zeta(s)^4 * zeta(s+a)^ell / s at the working precision."""
-    za = zeta_eval(s, dps=dps)
-    zb = zeta_eval(s + a, dps=dps)
-    return za**4 * zb**ell / s
+def _series_product(x: list, y: list) -> list:
+    # product of two power series truncated to the length of x
+    return [mp.fsum(x[i] * y[k - i] for i in range(k + 1)) for k in range(len(x))]
 
 
-def _laurent_moments(pole, order: int, radius, ell: int, a, dps: int) -> list[mpc]:
-    """Principal-part coefficients f_{-1}..f_{-order} at the given pole.
+def _principal_part(b, order: int, d, power: int, dps: int) -> list[mpf]:
+    """Principal-part coefficients f_{-1}..f_{-order} of
+    zeta(s+b)^order * zeta(s+b+d)^power / s at its pole s = 1-b.
 
-    f_{-i} is the mean over the circle of F(s) * (s - pole)^i at
-    CONTOUR_NODES_DEFAULT nodes; trapezoid on a circle converges spectrally
-    for the analytic integrand.
+    In u = s - (1-b) the function is u^(-order) G(u), where G multiplies
+    the truncated series (u zeta(1+u))^order from the Stieltjes constants,
+    zeta(1+d+u)^power from the Taylor coefficients of zeta at 1+d, and
+    1/(1-b+u) as a geometric series; f_{-i} is the u^(order-i) coefficient
+    of G.
     """
-    nodes = CONTOUR_NODES_DEFAULT
     with _MP_LOCK:
         with workdps(dps + 10):
-            p = mpc(pole)
+            pole = 1 - mpf(b)
+            # u zeta(1+u) = 1 + sum over j of (-1)^j gamma_j / j! * u^(j+1)
+            laurent = [mpf(1)] + [
+                (-1) ** j * mp.stieltjes(j) / mp.factorial(j) for j in range(order - 1)
+            ]
+            g = [(-1) ** k / pole ** (k + 1) for k in range(order)]
+            for _ in range(order):
+                g = _series_product(g, laurent)
+            if power:
+                taylor = [mp.zeta(1 + mpf(d), 1, k) / mp.factorial(k) for k in range(order)]
+                for _ in range(power):
+                    g = _series_product(g, taylor)
+            return [g[order - i] for i in range(1, order + 1)]
+
+
+def _contour_moments(b, order: int, radius, ell: int, a, dps: int) -> list[mpc]:
+    """Principal-part coefficients f_{-1}..f_{-order} of
+    zeta(s)^4 * zeta(s+a)^ell / s at its pole s = 1-b, by contour.
+
+    f_{-i} is the mean over the circle of the function times (s - pole)^i
+    at CONTOUR_NODES nodes; trapezoid on a circle converges spectrally for
+    the analytic integrand. Every value goes through zeta_eval, so this
+    route does not share mpmath's zeta with _principal_part.
+    """
+    nodes = CONTOUR_NODES
+    with _MP_LOCK:
+        with workdps(dps + 10):
+            p = 1 - mpf(b)
             r = mpf(radius)
             ring = []
             for jj in range(nodes):
                 z = mp.e ** (mpc(0, 2) * mp.pi * jj / nodes)
-                ring.append((z, _series_factor(p + r * z, ell, a, dps)))
+                s = p + r * z
+                Fv = zeta_eval(s, dps=dps) ** 4 * zeta_eval(s + a, dps=dps) ** ell / s
+                ring.append((z, Fv))
             out = []
             for i in range(1, order + 1):
                 acc = mpc(0)
@@ -169,13 +198,14 @@ def _moments_to_coeffs(moments: Sequence[mpc]) -> list[float]:
 
 
 def main_terms(ell: int, a, dps: int = 30) -> MainTermPolynomial:
-    """Main-term polynomials from contour Laurent moments at both poles.
+    """Main-term polynomials from the principal parts at both poles.
 
-    Radii r = min(a, 1-a, 1/4)/4 and r/2 are both run with
-    CONTOUR_NODES_DEFAULT nodes; any coefficient disagreeing by more than
-    CONTOUR_REL_TOL_DEFAULT relative raises PrecisionError with the advice
-    to raise dps. a = 0 merges the poles and is rejected; use the
-    unweighted path (divisor dimension 4+ell) instead.
+    The coefficients come from truncated power series (_principal_part).
+    One contour of CONTOUR_NODES nodes and radius r = min(a, 1-a, 1/4)/4
+    around each pole checks them; any coefficient disagreeing by more than
+    CONTOUR_REL_TOL relative raises PrecisionError with the advice to raise
+    dps. a = 0 merges the poles and is rejected; use the unweighted divisor
+    path (dimension 4+ell) instead.
     """
     if not (isinstance(ell, int) and ell >= 1):
         raise DomainError(f"ell must be a positive integer, got {ell!r}")
@@ -188,38 +218,33 @@ def main_terms(ell: int, a, dps: int = 30) -> MainTermPolynomial:
     if not (0.0 < a_f < 0.5):
         raise DomainError(f"shift a must lie in (0, 1/2), got {a}")
     r = min(a_f, 1.0 - a_f, 0.25) / 4.0
-    runs = []
-    for radius in (r, r / 2.0):
-        f_pole = _laurent_moments(1, 4, radius, ell, a_f, dps)
-        g_pole = _laurent_moments(1.0 - a_f, ell, radius, ell, a_f, dps)
-        imag_leak = max(
-            [abs(float(mp.im(v))) for v in f_pole + g_pole]
-        )
-        runs.append(
-            (_moments_to_coeffs(f_pole), _moments_to_coeffs(g_pole), imag_leak)
-        )
-    (c1, cp1, leak1), (c2, cp2, leak2) = runs
+    coeffs = []
     worst = 0.0
-    for u, v in zip(c1 + cp1, c2 + cp2):
-        scale = max(abs(u), abs(v), 1e-30)
-        worst = max(worst, abs(u - v) / scale)
-    if worst > CONTOUR_REL_TOL_DEFAULT:
+    leak = 0.0
+    # pole s = 1 of order 4, then pole s = 1 - a of order ell
+    for b, order, d, power in ((0.0, 4, a_f, ell), (a_f, ell, -a_f, 4)):
+        series = _moments_to_coeffs(_principal_part(b, order, d, power, dps))
+        ring = _contour_moments(b, order, r, ell, a_f, dps)
+        leak = max([leak] + [abs(float(mp.im(v))) for v in ring])
+        for u, v in zip(series, _moments_to_coeffs(ring)):
+            worst = max(worst, abs(u - v) / max(abs(u), abs(v), 1e-30))
+        coeffs.append(tuple(series))
+    if worst > CONTOUR_REL_TOL:
         raise PrecisionError(
-            f"contour coefficients differ by {worst:.3g} relative between "
-            f"radii {r:g} and {r/2:g} (tolerance {CONTOUR_REL_TOL_DEFAULT:g}); raise dps"
+            f"series and contour coefficients differ by {worst:.3g} relative "
+            f"(contour radius {r:g}, tolerance {CONTOUR_REL_TOL:g}); raise dps"
         )
     return MainTermPolynomial(
         ell=ell,
         a=a_f,
-        c_coeffs=tuple(c1),
-        cprime_coeffs=tuple(cp1),
+        c_coeffs=coeffs[0],
+        cprime_coeffs=coeffs[1],
         diagnostics={
             "radius": r,
-            "radius_check": r / 2.0,
-            "nodes": CONTOUR_NODES_DEFAULT,
+            "nodes": CONTOUR_NODES,
             "dps": dps,
             "max_rel_discrepancy": worst,
-            "max_imag_leak": max(leak1, leak2),
+            "max_imag_leak": leak,
         },
     )
 
@@ -245,14 +270,11 @@ class IdentityCheck:
 
 @lru_cache(maxsize=None)
 def _unweighted_main_coeffs(m: int) -> tuple:
-    """Coefficients q_k with sum_{n<=x} d_m(n) ~ x * sum q_k log^k x, at 30 digits."""
+    """Coefficients q_k with sum_{n<=x} d_m(n) ~ x * sum q_k log^k x, at 30 digits:
+    the principal part of zeta(s)^m / s at s = 1."""
     if m < 4:
         raise DomainError(f"majorant dimension must be >= 4, got {m}")
-    # the series factor is zeta^4 * zeta(.+a)^ell / s; with a = 0 and
-    # ell = m - 4 it collapses to zeta^m / s, whose order-m pole at 1
-    # carries the d_m main-term coefficients
-    mom = _laurent_moments(1, m, 0.0625, m - 4, 0.0, 30)
-    return tuple(_moments_to_coeffs(mom))
+    return tuple(_moments_to_coeffs(_principal_part(0.0, m, 0.0, 0, 30)))
 
 
 def _log_power_integral(k: int, N: float, sigma: float) -> float:
@@ -274,7 +296,7 @@ def series_tail_bound(ell: int, a, s, N: int) -> float:
     around that density.
     """
     sigma = float(mp.re(mpc(s)))
-    if sigma <= 1.05:
+    if not sigma > 1.05:  # written so that NaN fails
         raise DomainError(f"tail bound needs Re s > 1.05, got {sigma}")
     m = 4 + ell
     q = _unweighted_main_coeffs(m)
@@ -300,7 +322,7 @@ def dirichlet_identity_check(
     residuals sit below it, typically within a small factor.
     """
     sC = mpc(s)
-    if float(mp.re(sC)) < 1.5:
+    if not float(mp.re(sC)) >= 1.5:  # written so that NaN fails
         raise DomainError(f"need Re s >= 1.5, got {mp.re(sC)}")
     if N < 10**4:
         raise DomainError(f"need N >= 10^4, got {N}")
@@ -377,26 +399,3 @@ def error_trend(
             }
         )
     return rows
-
-
-def trend_to_csv(rows: Iterable[dict], eps: float = 0.05) -> str:
-    header = f"X,summatory,main_term,E,absE_over_X^{0.5 + eps:g}"
-    lines = [header]
-    for r in rows:
-        lines.append(
-            f"{r['X']:.12g},{r['summatory']:.12g},{r['main_term']:.12g},"
-            f"{r['E']:.12g},{r['normalized']:.12g}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def main_terms_to_json(poly: MainTermPolynomial) -> str:
-    doc = {
-        "schema": "zetalab.main_terms.v1",
-        "ell": poly.ell,
-        "a": poly.a,
-        "c_coeffs": list(poly.c_coeffs),
-        "cprime_coeffs": list(poly.cprime_coeffs),
-        "diagnostics": poly.diagnostics,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

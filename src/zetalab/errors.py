@@ -18,7 +18,7 @@ class PrecisionError(ZetalabError):
     """A numerical tolerance could not be met at the configured precision.
 
     Raised instead of silently degrading; the message says what to raise
-    (working precision, contour nodes, sample span) to get past it.
+    (the working precision or the error target) to get past it.
     """
 
 

@@ -1,4 +1,4 @@
-"""Adaptive quadrature of hybrid moment integrals and log-polynomial fits.
+"""Adaptive quadrature of hybrid moment integrals.
 
 The integrand |zeta(1/2+it)|^4 * |zeta(sigma+it)|^(2j) is smooth but
 oscillates on the scale of the local zero spacing, so initial panels are
@@ -18,12 +18,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
-from .errors import CeilingError, DomainError, PrecisionError
+from .errors import CeilingError, DomainError
 
 T_CEILING = 1.0e5
 REL_TOL_FLOOR = 1.0e-6
@@ -51,18 +51,6 @@ class MomentSample:
     @property
     def converged(self) -> bool:
         return bool(self.step_stats.get("converged", True))
-
-
-@dataclass(frozen=True)
-class LogPolyFit:
-    degree: int
-    coefficients: tuple
-    residual: float
-    condition: float
-
-    def evaluate(self, T: float) -> float:
-        L = math.log(T)
-        return T * sum(c * L**k for k, c in enumerate(self.coefficients))
 
 
 def _integrand(ts: np.ndarray, sigma: float, j: int) -> np.ndarray:
@@ -97,7 +85,7 @@ def _eval_panel(a: float, b: float, sigma: float, j: int) -> tuple[float, float,
     return coarse, fine, nodes.size
 
 
-def _validate(t_lo: float, t_hi: float, sigma: float, j: int, rel_tol: float) -> None:
+def _validate(t_lo: float, t_hi: float, sigma: float, j: int, rel_tols: list[float]) -> None:
     if not (isinstance(j, int) and j >= 0):
         raise DomainError(f"j must be a nonnegative integer, got {j!r}")
     if not (0.5 <= sigma <= 1.0):
@@ -106,8 +94,10 @@ def _validate(t_lo: float, t_hi: float, sigma: float, j: int, rel_tol: float) ->
         raise DomainError(f"need 0 <= t_lo <= t_hi, got [{t_lo}, {t_hi}]")
     if t_hi > T_CEILING:
         raise CeilingError(f"t_hi = {t_hi:g} exceeds the desk-scale ceiling {T_CEILING:g}")
-    if rel_tol < REL_TOL_FLOOR:
-        raise DomainError(f"rel_tol must be >= {REL_TOL_FLOOR:g}, got {rel_tol:g}")
+    for rel_tol in rel_tols:
+        # written so that NaN fails
+        if not rel_tol >= REL_TOL_FLOOR:
+            raise DomainError(f"rel_tol must be >= {REL_TOL_FLOOR:g}, got {rel_tol:g}")
 
 
 def hybrid_moment_trace(
@@ -120,14 +110,15 @@ def hybrid_moment_trace(
 ) -> list[MomentSample]:
     """Snapshots of one nested adaptive refinement at each tolerance.
 
-    rel_tols must be strictly decreasing; the k-th snapshot is the state of
-    the same refinement the moment tolerance k was first satisfied, so later
-    snapshots strictly refine earlier ones.
+    rel_tols must be strictly decreasing and each at least REL_TOL_FLOOR;
+    the k-th snapshot is the state of the same refinement the moment
+    tolerance k was first satisfied, so later snapshots strictly refine
+    earlier ones.
     """
     tols = [float(x) for x in rel_tols]
+    _validate(t_lo, t_hi, sigma, j, tols)
     if not tols or any(b >= a for a, b in zip(tols, tols[1:])):
         raise DomainError(f"rel_tols must be strictly decreasing, got {rel_tols}")
-    _validate(t_lo, t_hi, sigma, j, tols[-1])
 
     # initial panels by the phase rule; none when t_lo == t_hi
     edges = [t_lo]
@@ -211,52 +202,3 @@ def hybrid_moment(
     exception.
     """
     return hybrid_moment_trace(t_lo, t_hi, sigma, j, [rel_tol], panel_ceiling)[0]
-
-
-def fit_log_polynomial(samples: Sequence[MomentSample], degree: int = 4) -> LogPolyFit:
-    """Least-squares fit of value/T against powers of log T.
-
-    Needs >= 8 samples at common (sigma, j), all starting at t_lo = 0 and
-    spanning at least one decade in T. Ill-conditioning raises rather than
-    returning garbage coefficients.
-    """
-    if degree < 0:
-        raise DomainError(f"degree must be >= 0, got {degree}")
-    if len(samples) < 8:
-        raise DomainError(f"need >= 8 samples, got {len(samples)}")
-    key = {(s.sigma, s.j) for s in samples}
-    if len(key) != 1:
-        raise DomainError(f"samples mix (sigma, j) configurations: {sorted(key)}")
-    if any(s.t_lo != 0.0 for s in samples):
-        raise DomainError("fit model requires samples over [0, T]; found t_lo != 0")
-    T = np.array([s.t_hi for s in samples], dtype=float)
-    if np.min(T) <= 0 or np.max(T) / np.min(T) < 10.0:
-        raise DomainError("samples must span at least one decade in T")
-    y = np.array([s.value for s in samples], dtype=float) / T
-    L = np.log(T)
-    V = np.vander(L, degree + 1, increasing=True)
-    condition = float(np.linalg.cond(V))
-    if condition > 1.0e12:
-        raise PrecisionError(
-            f"normal equations ill-conditioned (cond = {condition:.3g}); "
-            "widen the T span or lower the degree"
-        )
-    coeffs, *_ = np.linalg.lstsq(V, y, rcond=None)
-    residual = float(np.sqrt(np.mean((V @ coeffs - y) ** 2)))
-    return LogPolyFit(
-        degree=degree,
-        coefficients=tuple(float(c) for c in coeffs),
-        residual=residual,
-        condition=condition,
-    )
-
-
-def samples_to_csv(samples: Iterable[MomentSample]) -> str:
-    """CSV rows (T_lo, T_hi, sigma, j, value, error_estimate); stable format."""
-    lines = ["T_lo,T_hi,sigma,j,value,error_estimate"]
-    for s in samples:
-        lines.append(
-            f"{s.t_lo:.12g},{s.t_hi:.12g},{s.sigma:.12g},{s.j},"
-            f"{s.value:.12g},{s.error_estimate:.12g}"
-        )
-    return "\n".join(lines) + "\n"

@@ -349,7 +349,7 @@ def test_criterion_10_divisor_tables():
         f"zero-shift convolution equals plain counts to 1e5 for three weight dimensions; "
         f"sieve matches an independent divisor-list recursion to n=2000, k=6; series "
         f"identity residual {chk.residual:.3g} below computed tail bound {chk.tail_bound:.3g}; "
-        f"contour radius-halving stable to 1e-8 and the simple-pole residue matches its "
+        f"series and contour agree to 1e-8 and the simple-pole residue matches its "
         f"closed form to 1e-8; 1e6 table built; {elapsed:.1f}s (budget 300s)",
     )
     assert ok, line

@@ -230,6 +230,15 @@ def test_exit_trace_not_a_number(capsys):
     assert err.startswith("error: ") and "1e-2,abc" in err
 
 
+@pytest.mark.parametrize("trace", ["nan", "nan,1e-3", "1e-2,nan"])
+def test_exit_trace_nan_tolerance(capsys, trace):
+    # NaN passes no comparison, so it must be rejected, not refined to the
+    # panel ceiling
+    rc, out, err = _run(capsys, ["moment", "--t-hi", "100", "--trace", trace, "--ceiling", "300"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and "nan" in err
+
+
 @pytest.mark.parametrize("variant", ["ford", "ivic-ouellet"])
 def test_exit_excess_table_rejects_variant(capsys, variant):
     # the excess table has no variant; it must not report one as in effect

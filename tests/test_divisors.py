@@ -1,23 +1,23 @@
 """Divisor sieves, weighted tables, main terms, and the identity check."""
 
-import json
 import math
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 
+from zetalab import divisors
 from zetalab.divisors import (
     N_CEILING,
+    _unweighted_main_coeffs,
     dirichlet_identity_check,
     error_term,
     error_trend,
     main_terms,
-    main_terms_to_json,
     series_tail_bound,
     sieve_divisor_counts,
-    trend_to_csv,
     weighted_divisor_table,
 )
 from zetalab.errors import CeilingError, DomainError
@@ -146,7 +146,7 @@ def test_weighted_table_validation():
 
 
 # ---------------------------------------------------------------------------
-# Main-term polynomials from the contour route.
+# Main-term polynomials from the Laurent-series route.
 # ---------------------------------------------------------------------------
 
 
@@ -181,8 +181,48 @@ def test_main_terms_diagnostics(poly_2_035):
     d = poly_2_035.diagnostics
     assert d["max_rel_discrepancy"] < 1e-8
     assert d["max_imag_leak"] < 1e-20
-    assert d["radius_check"] == d["radius"] / 2.0
-    assert d["nodes"] == 256
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("a", [0.01, 0.2, 0.49])
+def test_leading_coefficients_closed_form(ell, a):
+    # c_3 = zeta(1+a)^ell / 3! and c'_(ell-1) = zeta(1-a)^4 / ((1-a) (ell-1)!)
+    # over the advertised shifts; the series must also pass its contour check
+    poly = main_terms(ell, a)
+    with mpmath.workdps(30):
+        am = mpmath.mpf(a)
+        c3 = float(mpmath.zeta(1 + am) ** ell / 6)
+        cp = float(mpmath.zeta(1 - am) ** 4 / ((1 - am) * math.factorial(ell - 1)))
+    assert math.isclose(poly.c_coeffs[3], c3, rel_tol=1e-10)
+    assert math.isclose(poly.cprime_coeffs[ell - 1], cp, rel_tol=1e-10)
+    assert poly.diagnostics["max_rel_discrepancy"] < 1e-8
+
+
+@pytest.mark.parametrize("m", range(5, 17))
+def test_unweighted_coefficients_closed_form(m):
+    # zeta(s)^m / s = u^(-m) (1 + (m gamma - 1) u + O(u^2)) at s = 1 + u
+    q = _unweighted_main_coeffs(m)
+    assert len(q) == m
+    assert math.isclose(q[m - 1], 1 / math.factorial(m - 1), rel_tol=1e-13)
+    want = (m * float(mpmath.euler) - 1) / math.factorial(m - 2)
+    assert math.isclose(q[m - 2], want, rel_tol=1e-13)
+
+
+def test_main_terms_zeta_eval_budget(monkeypatch):
+    # the series route makes the main terms; zeta_eval only feeds the one
+    # 32-node check contour per pole (two values per node)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return zeta_eval(*args, **kwargs)
+
+    monkeypatch.setattr(divisors, "zeta_eval", counting)
+    main_terms(2, 0.3)
+    assert 0 < len(calls) <= 128
+    calls.clear()
+    _unweighted_main_coeffs.__wrapped__(7)
+    assert calls == []
 
 
 def test_main_terms_validation():
@@ -257,6 +297,8 @@ def test_identity_validation():
         dirichlet_identity_check(1, 0.3, 1.2, 10**4)
     with pytest.raises(DomainError):
         dirichlet_identity_check(1, 0.3, 2.0, 5000)
+    with pytest.raises(DomainError):
+        dirichlet_identity_check(1, 0.3, math.nan, 10**4)
 
 
 def test_tail_bound_shrinks_with_n():
@@ -265,6 +307,8 @@ def test_tail_bound_shrinks_with_n():
     assert 0 < b2 < b1
     with pytest.raises(DomainError):
         series_tail_bound(2, 0.35, 1.0, 10**4)
+    with pytest.raises(DomainError):
+        series_tail_bound(2, 0.35, math.nan, 10**4)
 
 
 # ---------------------------------------------------------------------------
@@ -315,23 +359,3 @@ def test_error_trend_validation(ledger_2_035, poly_2_035, poly_1_04):
         error_trend(ledger_2_035, poly_2_035, [0.0])
     with pytest.raises(DomainError):
         error_trend(ledger_2_035, poly_2_035, [10**5 + 1])
-
-
-def test_trend_csv_header(ledger_2_035, poly_2_035):
-    rows = error_trend(ledger_2_035, poly_2_035, [10**3], eps=0.05)
-    text = trend_to_csv(rows, eps=0.05)
-    assert text.splitlines()[0] == "X,summatory,main_term,E,absE_over_X^0.55"
-    rows = error_trend(ledger_2_035, poly_2_035, [10**3], eps=0.01)
-    text = trend_to_csv(rows, eps=0.01)
-    assert text.splitlines()[0] == "X,summatory,main_term,E,absE_over_X^0.51"
-    assert len(text.splitlines()) == 2
-
-
-def test_main_terms_json(poly_2_035):
-    doc = json.loads(main_terms_to_json(poly_2_035))
-    assert doc["schema"] == "zetalab.main_terms.v1"
-    assert doc["ell"] == 2
-    assert doc["a"] == 0.35
-    assert len(doc["c_coeffs"]) == 4
-    assert len(doc["cprime_coeffs"]) == 2
-    assert doc["diagnostics"]["max_rel_discrepancy"] < 1e-8

@@ -1,5 +1,5 @@
-"""Adaptive quadrature of the hybrid moment: validation surface, additivity,
-refinement behaviour, and the log-polynomial fit."""
+"""Adaptive quadrature of the hybrid moment: validation surface, additivity
+and refinement behaviour."""
 
 import math
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zetalab import moments
-from zetalab.errors import CeilingError, DomainError, PrecisionError
+from zetalab.errors import CeilingError, DomainError
 
 
 def test_zero_width_interval():
@@ -92,60 +92,8 @@ def test_sigma_one_needs_positive_start():
     assert math.isfinite(s.value) and s.value > 0
 
 
-def test_fit_recovers_synthetic_polynomial():
-    coeffs = [0.3, -1.2, 0.8, 0.05, 1.0 / (2 * math.pi**2)]
-    samples = []
-    for T in np.geomspace(50, 5000, 12):
-        L = math.log(T)
-        val = T * sum(c * L**k for k, c in enumerate(coeffs))
-        samples.append(
-            moments.MomentSample(
-                t_lo=0.0, t_hi=float(T), sigma=0.5, j=0, value=val, error_estimate=0.0
-            )
-        )
-    fit = moments.fit_log_polynomial(samples, degree=4)
-    assert np.allclose(fit.coefficients, coeffs, rtol=1e-6, atol=1e-9)
-    assert fit.residual < 1e-6
-    T = 700.0
-    L = math.log(T)
-    assert fit.evaluate(T) == pytest.approx(T * sum(c * L**k for k, c in enumerate(coeffs)))
-
-
-def test_fit_validation():
-    good = [
-        moments.MomentSample(0.0, float(T), 0.5, 0, float(T), 0.0)
-        for T in np.geomspace(50, 5000, 12)
-    ]
-    with pytest.raises(DomainError):
-        moments.fit_log_polynomial(good[:5])  # too few samples
-    mixed = good[:-1] + [moments.MomentSample(0.0, 1e4, 0.75, 0, 1.0, 0.0)]
-    with pytest.raises(DomainError):
-        moments.fit_log_polynomial(mixed)
-    offset = [moments.MomentSample(1.0, float(T), 0.5, 0, float(T), 0.0) for T in np.geomspace(50, 5000, 12)]
-    with pytest.raises(DomainError):
-        moments.fit_log_polynomial(offset)
-    narrow = [
-        moments.MomentSample(0.0, 100.0 + k, 0.5, 0, 100.0 + k, 0.0) for k in range(12)
-    ]
-    with pytest.raises(DomainError):
-        moments.fit_log_polynomial(narrow)
-
-
 def test_sample_invariants():
     with pytest.raises(ValueError):
         moments.MomentSample(0.0, 10.0, 0.5, 0, -1.0, 0.0)
     with pytest.raises(ValueError):
         moments.MomentSample(0.0, 10.0, 0.5, 0, 1.0, -0.5)
-
-
-def test_csv_round_trip():
-    samples = [
-        moments.MomentSample(0.0, 100.0, 0.5, 0, 12345.6789, 0.25),
-        moments.MomentSample(100.0, 200.0, 0.75, 1, 8.0, 0.001),
-    ]
-    text = moments.samples_to_csv(samples)
-    lines = text.strip().split("\n")
-    assert lines[0] == "T_lo,T_hi,sigma,j,value,error_estimate"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert float(first[4]) == pytest.approx(12345.6789)
