@@ -15,7 +15,6 @@ from .bounds import (
     ANCHOR_HIGH,
     ANCHOR_LOW,
     PiecewiseBound,
-    Segment,
     ThresholdReport,
     admissible_shift_range,
     bounded_order_table,
@@ -54,7 +53,6 @@ __all__ = [
     "ExponentPair",
     "PiecewiseBound",
     "PrecisionError",
-    "Segment",
     "ThresholdReport",
     "ZetalabError",
     "admissible_shift_range",

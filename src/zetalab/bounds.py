@@ -18,7 +18,8 @@ rational tables exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Union
@@ -56,60 +57,51 @@ def _coerce(x: Rationalish, name: str) -> Fraction:
 
 
 @dataclass(frozen=True)
-class Segment:
-    """One branch of a piecewise table: closed range [lo, hi] and its rule."""
-
-    lo: Fraction
-    hi: Optional[Fraction]  # None means unbounded above
-    rule: Callable[[Fraction], Fraction]
-    label: str
-
-    def covers(self, x: Fraction) -> bool:
-        return self.lo <= x and (self.hi is None or x <= self.hi)
-
-
-@dataclass(frozen=True)
 class PiecewiseBound:
-    """Ordered contiguous segments plus a policy for shared breakpoints.
+    """Increasing breakpoints and one rule per interval between them.
 
-    Segment ranges are closed, so interior breakpoints belong to both
-    neighbours. Where the table is continuous the two rules agree exactly
-    and the policy is irrelevant; at a genuine jump the policy picks the
-    better bound ("max" for lower-bound tables, "min" for upper bounds).
+    Rule k covers the closed interval [breaks[k], breaks[k+1]], the last one
+    [breaks[-1], inf), so interior breakpoints belong to both neighbours.
+    Where the table is continuous the two rules agree exactly and the policy
+    is irrelevant; at a genuine jump the policy picks the better bound
+    ("max" for lower-bound tables, "min" for upper bounds).
     """
 
     label: str
-    segments: tuple[Segment, ...]
+    breaks: tuple[Fraction, ...]
+    rules: tuple[Callable[[Fraction], Fraction], ...]
     at_breakpoint: str = "max"
 
     def __post_init__(self) -> None:
-        for a, b in zip(self.segments, self.segments[1:]):
-            if a.hi is None or a.hi != b.lo:
-                raise ValueError(f"{self.label}: segments not contiguous at {a.hi}")
-
-    def domain(self) -> tuple[Fraction, Optional[Fraction]]:
-        return self.segments[0].lo, self.segments[-1].hi
+        if len(self.rules) != len(self.breaks):
+            raise ValueError(
+                f"{self.label}: {len(self.breaks)} intervals need as many rules, "
+                f"got {len(self.rules)}"
+            )
+        if any(b <= a for a, b in zip(self.breaks, self.breaks[1:])):
+            raise ValueError(f"{self.label}: breakpoints must increase, got {self.breaks}")
 
     def interior_breakpoints(self) -> tuple[Fraction, ...]:
-        return tuple(s.hi for s in self.segments[:-1])
+        return self.breaks[1:]
 
     def branch_values(self, breakpoint: Fraction) -> tuple[Fraction, Fraction]:
         """Left and right rule values at an interior breakpoint."""
-        for a, b in zip(self.segments, self.segments[1:]):
-            if a.hi == breakpoint:
-                return a.rule(breakpoint), b.rule(breakpoint)
-        raise DomainError(f"{breakpoint} is not an interior breakpoint of {self.label}")
+        k = bisect_right(self.breaks, breakpoint) - 1
+        if k < 1 or self.breaks[k] != breakpoint:
+            raise DomainError(f"{breakpoint} is not an interior breakpoint of {self.label}")
+        return self.rules[k - 1](breakpoint), self.rules[k](breakpoint)
 
     def __call__(self, x: Rationalish) -> Fraction:
         xf = _coerce(x, self.label + " argument")
-        values = [s.rule(xf) for s in self.segments if s.covers(xf)]
-        if not values:
-            lo, hi = self.domain()
-            hi_txt = "inf" if hi is None else str(hi)
+        k = bisect_right(self.breaks, xf) - 1
+        if k < 0:
             raise DomainError(
-                f"{self.label} argument {x} outside domain [{lo}, {hi_txt}]"
+                f"{self.label} argument {x} outside domain [{self.breaks[0]}, inf]"
             )
-        return max(values) if self.at_breakpoint == "max" else min(values)
+        if k > 0 and xf == self.breaks[k]:
+            pick = max if self.at_breakpoint == "max" else min
+            return pick(self.rules[k - 1](xf), self.rules[k](xf))
+        return self.rules[k](xf)
 
 
 # ---------------------------------------------------------------------------
@@ -124,19 +116,13 @@ def moment_excess_table() -> PiecewiseBound:
     return PiecewiseBound(
         label="critical-line moment excess",
         at_breakpoint="min",
-        segments=(
-            Segment(F(4), F(12), lambda A: (A - 4) / F(8), "(A-4)/8"),
-            Segment(F(12), F(178, 13), lambda A: (3 * A - 14) / F(22), "(3A-14)/22"),
-            Segment(
-                F(178, 13),
-                F(20028, 1313),
-                lambda A: (416 * A - 2416) / F(2665),
-                "(416A-2416)/2665",
-            ),
-            Segment(
-                F(20028, 1313), F(1836, 101), lambda A: (7 * A - 36) / F(48), "(7A-36)/48"
-            ),
-            Segment(F(1836, 101), None, lambda A: 32 * (A - 6) / F(205), "32(A-6)/205"),
+        breaks=(F(4), F(12), F(178, 13), F(20028, 1313), F(1836, 101)),
+        rules=(
+            lambda A: (A - 4) / F(8),
+            lambda A: (3 * A - 14) / F(22),
+            lambda A: (416 * A - 2416) / F(2665),
+            lambda A: (7 * A - 36) / F(48),
+            lambda A: 32 * (A - 6) / F(205),
         ),
     )
 
@@ -156,70 +142,43 @@ def moment_excess(order: Rationalish) -> Fraction:
 # ---------------------------------------------------------------------------
 # Table 2: the largest moment order that still has T^(1+eps) growth on the
 # vertical line at a given sigma in (1/2, 1). Eight branches; the last
-# breakpoint is the irrational crossing of the final two rules and is found
-# by exact-rational bisection (see _order_table_root).
+# breakpoint is the irrational crossing of the final two rules, taken to 20
+# decimals with an integer square root (see _order_table_root).
 # ---------------------------------------------------------------------------
 
 
-def _order_rule_7(s: Fraction) -> Fraction:
-    return 98 / (31 - 32 * s)
-
-
-def _order_rule_8(s: Fraction) -> Fraction:
-    return (24 * s - 9) / ((4 * s - 1) * (1 - s))
-
-
-@lru_cache(maxsize=1)
 def _order_table_root() -> Fraction:
-    """Crossing of the last two branch rules, bisected to width 1e-13.
+    """Crossing of the last two branch rules, 98/(31-32s) and
+    (24s-9)/((4s-1)(1-s)): the root (542 + sqrt(21540))/752 of
+    376 s^2 - 542 s + 181 near 0.915911.
 
-    Equivalent to the positive root of 376 s^2 - 542 s + 181 near 0.915911;
-    bisection in exact rationals avoids trusting a truncated decimal.
+    The square root is rounded down at scale 10^20 by math.isqrt, so the
+    rational returned lies below the true root by less than 1e-22; no
+    truncated decimal is trusted.
     """
-
-    def h(s: Fraction) -> Fraction:
-        return 98 * (4 * s - 1) * (1 - s) - (24 * s - 9) * (31 - 32 * s)
-
-    lo, hi = Fraction(9, 10), Fraction(93, 100)
-    if not (h(lo) < 0 < h(hi)):
-        raise AssertionError("root bracket invalid")
-    while hi - lo > Fraction(1, 10**13):
-        mid = (lo + hi) / 2
-        if h(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    scale = 10**20
+    return Fraction(542 * scale + math.isqrt(21540 * scale**2), 752 * scale)
 
 
 @lru_cache(maxsize=1)
 def bounded_order_table() -> PiecewiseBound:
     F = Fraction
-    root = _order_table_root()
     return PiecewiseBound(
         label="bounded moment order",
         at_breakpoint="max",
-        segments=(
-            Segment(F(1, 2), F(5, 8), lambda s: 4 / (3 - 4 * s), "4/(3-4s)"),
-            Segment(F(5, 8), F(35, 54), lambda s: 10 / (5 - 6 * s), "10/(5-6s)"),
-            Segment(F(35, 54), F(41, 60), lambda s: 19 / (6 - 6 * s), "19/(6-6s)"),
-            Segment(
-                F(41, 60), F(3, 4), lambda s: 2112 / (859 - 948 * s), "2112/(859-948s)"
-            ),
-            Segment(
-                F(3, 4),
-                F(5, 6),
-                lambda s: 12408 / (4537 - 4890 * s),
-                "12408/(4537-4890s)",
-            ),
-            Segment(
-                F(5, 6),
-                F(7, 8),
-                lambda s: 4324 / (1031 - 1044 * s),
-                "4324/(1031-1044s)",
-            ),
-            Segment(F(7, 8), root, _order_rule_7, "98/(31-32s)"),
-            Segment(root, None, _order_rule_8, "(24s-9)/((4s-1)(1-s))"),
+        breaks=(
+            F(1, 2), F(5, 8), F(35, 54), F(41, 60), F(3, 4), F(5, 6), F(7, 8),
+            _order_table_root(),
+        ),
+        rules=(
+            lambda s: 4 / (3 - 4 * s),
+            lambda s: 10 / (5 - 6 * s),
+            lambda s: 19 / (6 - 6 * s),
+            lambda s: 2112 / (859 - 948 * s),
+            lambda s: 12408 / (4537 - 4890 * s),
+            lambda s: 4324 / (1031 - 1044 * s),
+            lambda s: 98 / (31 - 32 * s),
+            lambda s: (24 * s - 9) / ((4 * s - 1) * (1 - s)),
         ),
     )
 
@@ -366,13 +325,6 @@ class ThresholdReport:
         if self.p is not None and not self.p > 1:
             raise ValueError(f"p must exceed 1, got {self.p}")
 
-    @property
-    def sensitivity_width(self) -> float:
-        if self.sensitivity is None:
-            return 0.0
-        lo, hi = self.sensitivity
-        return float(hi - lo)
-
 
 def moment_threshold(sigma0: Rationalish, j: int) -> ThresholdReport:
     """Admissibility threshold from the two tables at auxiliary line sigma0.
@@ -427,16 +379,7 @@ def threshold_sequence(j_max: int) -> list[ThresholdReport]:
     low = _sequence_values(j_max, ANCHOR_LOW)
     high = _sequence_values(j_max, ANCHOR_HIGH)
     base = moment_threshold(Fraction(5, 8), 1)
-    reports = [
-        ThresholdReport(
-            j=1,
-            sigma0=base.sigma0,
-            p=base.p,
-            threshold=base.threshold,
-            provenance=base.provenance,
-            sensitivity=(base.threshold, base.threshold),
-        )
-    ]
+    reports = [replace(base, sensitivity=(base.threshold, base.threshold))]
     if low[0] != base.threshold:  # pragma: no cover - both are exactly 4/5
         raise AssertionError("recursion seed disagrees with table threshold")
     for j in range(2, j_max + 1):

@@ -475,6 +475,8 @@ def cmd_bounds(cfg: RunConfig, table: str, start: Optional[float], stop: Optiona
     title, (lo, hi), value, (label, x_ref, ref) = _BOUND_TABLES[table]
     lo = lo if start is None else start
     hi = hi if stop is None else stop
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"grid needs a finite start and stop, got [{lo}, {hi}]")
     if not (hi > lo):
         raise DomainError(f"grid needs stop > start, got [{lo}, {hi}]")
     if count < 2:

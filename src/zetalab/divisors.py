@@ -385,6 +385,8 @@ def error_trend(
 ) -> list[dict]:
     """Rows (X, summatory, main_term, E, |E|/X^(1/2+eps)) for each X, with
     E equal to error_term at X and the same validation."""
+    if not math.isfinite(eps):
+        raise DomainError(f"eps must be finite, got {eps!r}")
     rows = []
     for X in Xs:
         S, M = _summatory_and_main(ledger, poly, X)

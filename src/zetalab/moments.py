@@ -4,8 +4,9 @@ The integrand |zeta(1/2+it)|^4 * |zeta(sigma+it)|^(2j) is smooth but
 oscillates on the scale of the local zero spacing, so initial panels are
 sized to keep the dominant phase advance under pi/4 per node and an
 adaptive worst-panel bisection does the rest. Panel results are reduced in
-ascending interval order, so a run's output is reproducible bit for bit for
-a given configuration regardless of how the panels were scheduled.
+ascending interval order, so a run's totals do not depend on the order in
+which its panels were bisected and are reproducible bit for bit for a given
+configuration.
 
 Node values come from the float64 line-batch kernel (abs error below
 1e-12 + 1e-14 * t up to T_CEILING, far below any quadrature tolerance
@@ -23,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import CeilingError, DomainError
+from .errors import CeilingError, DomainError, PrecisionError
 
 T_CEILING = 1.0e5
 REL_TOL_FLOOR = 1.0e-6
@@ -82,6 +83,11 @@ def _eval_panel(a: float, b: float, sigma: float, j: int) -> tuple[float, float,
     fine = 0.5 * (mid - a) * float(_GL_WEIGHTS @ vals[16:32]) + 0.5 * (
         b - mid
     ) * float(_GL_WEIGHTS @ vals[32:])
+    if not (math.isfinite(coarse) and math.isfinite(fine)):
+        raise PrecisionError(
+            f"panel [{a:g}, {b:g}] at sigma = {sigma:g}, j = {j} is not finite in "
+            "float64; lower j or move t_lo away from 0"
+        )
     return coarse, fine, nodes.size
 
 
@@ -92,6 +98,11 @@ def _validate(t_lo: float, t_hi: float, sigma: float, j: int, rel_tols: list[flo
         raise DomainError(f"sigma must lie in [1/2, 1], got {sigma}")
     if not (0.0 <= t_lo <= t_hi):
         raise DomainError(f"need 0 <= t_lo <= t_hi, got [{t_lo}, {t_hi}]")
+    if sigma == 1.0 and j >= 1 and t_lo == 0.0:
+        raise DomainError(
+            "at sigma = 1 the integrand grows like t^(-2j) at t = 0 and is not "
+            "integrable there; start at t_lo > 0"
+        )
     if t_hi > T_CEILING:
         raise CeilingError(f"t_hi = {t_hi:g} exceeds the desk-scale ceiling {T_CEILING:g}")
     for rel_tol in rel_tols:
@@ -113,7 +124,8 @@ def hybrid_moment_trace(
     rel_tols must be strictly decreasing and each at least REL_TOL_FLOOR;
     the k-th snapshot is the state of the same refinement the moment
     tolerance k was first satisfied, so later snapshots strictly refine
-    earlier ones.
+    earlier ones. A panel whose value is not finite in float64 raises
+    PrecisionError at once.
     """
     tols = [float(x) for x in rel_tols]
     _validate(t_lo, t_hi, sigma, j, tols)

@@ -222,7 +222,7 @@ def test_criterion_7_table_consistency():
         7,
         ok,
         f"excess table exactly continuous at {len(exact_bps)} interior breakpoints; "
-        "order table continuous to 1e-9 at its breakpoints including the bisected "
+        "order table continuous to 1e-9 at its breakpoints including the crossing "
         "root, apart from the documented jump at 7/8 (184/5 vs 98/3); curve below "
         f"(1-s)/2 on a {npts}-point grid; {elapsed:.2f}s (budget 5s)",
     )

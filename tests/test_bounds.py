@@ -3,6 +3,7 @@ and the derived constants, all against independently frozen values."""
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from zetalab import bounds
@@ -85,7 +86,7 @@ def test_bounded_order_continuity():
     # are lower bounds from different methods and do not meet there
     left, right = table.branch_values(F(7, 8))
     assert (left, right) == (F(184, 5), F(98, 3))
-    # the final breakpoint is the bisected crossing of the last two rules
+    # the final breakpoint is the crossing root of the last two rules
     root = bps[6]
     assert abs(float(root) - ROOT_REF) < 1e-12
     left, right = table.branch_values(root)
@@ -96,6 +97,10 @@ def test_bounded_order_root_is_rule_crossing():
     root = bounds.bounded_order_table().interior_breakpoints()[6]
     f = 98 * (4 * root - 1) * (1 - root) - (24 * root - 9) * (31 - 32 * root)
     assert abs(float(f)) < 1e-11
+    # and it is the closed-form root (542 + sqrt(21540))/752, not a float near it
+    with mpmath.workdps(40):
+        exact = (542 + mpmath.sqrt(21540)) / 752
+        assert abs(mpmath.mpf(root.numerator) / root.denominator - exact) < 1e-16
 
 
 def test_bounded_order_domain():
@@ -225,13 +230,14 @@ def test_threshold_sequence_against_reference():
 def test_threshold_sequence_provenance_and_sensitivity():
     seq = bounds.threshold_sequence(5)
     assert seq[0].provenance == "table-threshold"
-    assert seq[0].sensitivity_width == 0.0
+    lo, hi = seq[0].sensitivity
+    assert float(hi - lo) == 0.0
     for rec in seq[1:]:
         assert rec.provenance == "recursion"
         lo, hi = rec.sensitivity
         assert lo <= rec.threshold <= hi
         # the anchor truncation bracket is a few 1e-9 wide
-        assert 0 < rec.sensitivity_width < 1e-7
+        assert 0 < float(hi - lo) < 1e-7
         # sigma0 of each step is the previous threshold
     for prev, rec in zip(seq, seq[1:]):
         assert rec.sigma0 == prev.threshold
@@ -272,7 +278,42 @@ def test_admissible_shift_range_domain():
 
 def test_piecewise_bound_misuse():
     table = bounds.moment_excess_table()
-    with pytest.raises(DomainError):
-        table(F(7, 2))  # below domain
+    # below domain
+    with pytest.raises(DomainError, match=r"argument 7/2 outside domain \[4, inf\]$"):
+        table(F(7, 2))
+    with pytest.raises(DomainError, match=r"argument 0.25 outside domain \[1/2, inf\]$"):
+        bounds.bounded_order_table()(0.25)
     with pytest.raises(DomainError):
         table.branch_values(F(5))  # not a breakpoint
+    with pytest.raises(DomainError):
+        table.branch_values(F(4))  # the domain's end, not an interior breakpoint
+
+
+def test_piecewise_bound_min_policy_at_jump():
+    # a jump from 1 + x to 3x at x = 2 (values 3 and 6): the "min" policy
+    # keeps the smaller branch there, and each rule holds inside its interval
+    table = bounds.PiecewiseBound(
+        label="toy",
+        breaks=(F(0), F(2)),
+        rules=(lambda x: 1 + x, lambda x: 3 * x),
+        at_breakpoint="min",
+    )
+    assert table.branch_values(F(2)) == (3, 6)
+    assert table(2) == 3
+    assert table(0) == 1
+    assert table(F(3, 2)) == F(5, 2)
+    assert table(F(5, 2)) == F(15, 2)
+    assert table(100) == 300
+
+
+def test_piecewise_bound_construction_errors():
+    rule = lambda x: x  # noqa: E731
+    with pytest.raises(ValueError, match="must increase"):
+        bounds.PiecewiseBound("toy", (F(0), F(2), F(2)), (rule, rule, rule))
+    with pytest.raises(ValueError, match="must increase"):
+        bounds.PiecewiseBound("toy", (F(1), F(0)), (rule, rule))
+    with pytest.raises(ValueError, match="rules"):
+        bounds.PiecewiseBound("toy", (F(0), F(2)), (rule,))
+    with pytest.raises(ValueError, match="rules"):
+        bounds.PiecewiseBound("toy", (F(0), F(2)), (rule, rule, rule))
+

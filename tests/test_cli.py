@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from zetalab.cli import RunConfig, main
@@ -245,6 +246,36 @@ def test_exit_excess_table_rejects_variant(capsys, variant):
     rc, out, err = _run(capsys, ["bounds", "--table", "excess", "--variant", variant])
     assert rc == 1 and out == ""
     assert err.startswith("error: ") and variant in err
+
+
+@pytest.mark.parametrize("bound", [["--stop", "inf"], ["--start=-inf"], ["--stop", "nan"]])
+def test_exit_bounds_non_finite_grid(capsys, bound):
+    # an infinite end made Fraction(nan) raise a bare ValueError traceback
+    rc, out, err = _run(capsys, ["bounds", "--table", "order", *bound])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: grid needs a finite start and stop")
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_exit_divisor_non_finite_eps(capsys, eps):
+    rc, out, err = _run(capsys, ["divisor", "--ceiling", "20000", "--eps", eps])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: eps must be finite")
+
+
+def test_exit_moment_divergent_at_sigma_one(capsys):
+    rc, out, err = _run(capsys, ["moment", "--t-hi", "100", "--sigma", "1", "--j", "1"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and "not integrable" in err
+
+
+def test_exit_moment_overflow(capsys):
+    with np.errstate(over="ignore"):
+        rc, out, err = _run(
+            capsys, ["moment", "--t-lo", "0.01", "--t-hi", "1", "--sigma", "1", "--j", "200"]
+        )
+    assert rc == 2 and out == ""
+    assert "not finite" in err
 
 
 def test_exit_resource_ceiling(capsys):

@@ -359,3 +359,7 @@ def test_error_trend_validation(ledger_2_035, poly_2_035, poly_1_04):
         error_trend(ledger_2_035, poly_2_035, [0.0])
     with pytest.raises(DomainError):
         error_trend(ledger_2_035, poly_2_035, [10**5 + 1])
+    # a non-finite eps would print a NaN or all-zero trend column
+    for eps in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError, match="eps must be finite"):
+            error_trend(ledger_2_035, poly_2_035, [10**3], eps=eps)

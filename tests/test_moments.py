@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zetalab import moments
-from zetalab.errors import CeilingError, DomainError
+from zetalab.errors import CeilingError, DomainError, PrecisionError
 
 
 def test_zero_width_interval():
@@ -86,10 +86,28 @@ def test_moment_positive_and_scales():
 
 
 def test_sigma_one_needs_positive_start():
-    # j >= 1 at sigma = 1 diverges logarithmically at t = 0; from t = 1 the
-    # integral is finite and the quadrature must handle it
+    # j >= 1 at sigma = 1: |zeta(1+it)|^(2j) grows like t^(-2j) at t = 0, a
+    # pole that is not integrable; from t = 1 the integral is finite and the
+    # quadrature must handle it
     s = moments.hybrid_moment(1, 60, 1.0, 1, rel_tol=1e-3)
     assert math.isfinite(s.value) and s.value > 0
+
+
+def test_sigma_one_from_zero_is_rejected():
+    # the divergent integral must raise, not come back as a converged inf
+    for j in (1, 3):
+        with pytest.raises(DomainError, match="not integrable"):
+            moments.hybrid_moment(0, 10, 1.0, j)
+    # j = 0 drops the sigma-line factor, so t_lo = 0 stays valid
+    assert math.isfinite(moments.hybrid_moment(0, 10, 1.0, 0, rel_tol=1e-3).value)
+
+
+def test_overflowing_panel_raises_at_once():
+    # |zeta(1+0.01i)|^400 is about 100^400, beyond float64: the first panel
+    # must raise instead of refining inf and NaN up to the panel ceiling
+    with np.errstate(over="ignore"):
+        with pytest.raises(PrecisionError, match="not finite"):
+            moments.hybrid_moment(0.01, 1.0, 1.0, 200, panel_ceiling=2000)
 
 
 def test_sample_invariants():

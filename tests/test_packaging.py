@@ -1,10 +1,13 @@
-"""Every runtime dependency declared in pyproject.toml imports."""
+"""Every runtime dependency declared in pyproject.toml imports, and every
+exported name resolves."""
 
 import importlib
 import re
 from pathlib import Path
 
 import pytest
+
+import zetalab
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -17,3 +20,8 @@ def test_declared_dependencies_import():
     for requirement in requirements:
         name = re.match(r"[A-Za-z0-9_.-]+", requirement).group(0)
         importlib.import_module(name.replace("-", "_"))
+
+
+def test_exported_names_resolve():
+    missing = [name for name in zetalab.__all__ if not hasattr(zetalab, name)]
+    assert not missing
