@@ -1,9 +1,10 @@
-"""Hot numeric kernels: float64 zeta line batches, divisor-convolution sieve
-passes, the weighted-divisor combine, and a compensated running sum.
+"""Hot numeric kernels: float64 zeta line batches, a prime-power sieve for
+multiplicative tables, a general weighted Dirichlet convolution, and a
+compensated running sum.
 
-Each kernel has one numpy implementation. Integer kernels use exact int64
-arithmetic; the weighted combine accumulates each slot in ascending divisor
-order.
+Each kernel has one numpy implementation. Integer tables use exact int64
+arithmetic; the weighted convolution accumulates each slot in ascending
+divisor order.
 """
 
 from __future__ import annotations
@@ -50,18 +51,47 @@ def line_zeta(sigma: float, ts: np.ndarray) -> np.ndarray:
     return acc
 
 
-def conv_with_ones(f: np.ndarray) -> np.ndarray:
-    """One divisor-convolution pass: out[m] = sum of f[d] over divisors d of m.
+def _primes_upto(N: int) -> np.ndarray:
+    """Primes <= N, ascending, by the sieve of Eratosthenes."""
+    is_prime = np.ones(N + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(N) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return np.flatnonzero(is_prime)
 
-    f is int64 indexed 0..N with f[0] ignored; exact integer arithmetic.
+
+def multiplicative_table(N: int, local, dtype) -> np.ndarray:
+    """Table of a multiplicative function f on 0..N (f[0] = 0, f[1] = 1).
+
+    local(p, vmax) gives f(p^v) for v = 0..vmax along its first axis; p is
+    one prime, or an array of primes with vmax = 1. A prime p <= sqrt(N)
+    divides n = m*p to the power 1 + v_p(m): that exponent is built as int8
+    over the multiples of p and looked up in local(p, vmax). A prime
+    p > sqrt(N) divides each of its multiples m*p exactly once and m < p, so
+    the large primes are applied together, one gather per cofactor m.
+    Integer dtypes stay exact while every value fits; float tables multiply
+    the prime-power factors of n in ascending p.
     """
-    N = f.shape[0] - 1
-    out = np.zeros_like(f)
-    for d in range(1, N + 1):
-        fd = f[d]
-        if fd:
-            out[d::d] += fd
-    return out
+    f = np.ones(N + 1, dtype=dtype)
+    f[0] = 0
+    primes = _primes_upto(N)
+    split = int(np.searchsorted(primes, math.isqrt(N), side="right"))
+    for p in primes[:split].tolist():
+        v = np.ones(N // p, dtype=np.int8)  # exponent of p in (i+1)*p
+        q = p
+        while q <= N // p:
+            v[q - 1 :: q] += 1
+            q *= p
+        lut = np.asarray(local(p, int(v.max())), dtype=dtype)
+        f[p::p] *= lut[v]
+    large = primes[split:]
+    if large.size:
+        g = np.broadcast_to(np.asarray(local(large, 1), dtype=dtype)[1], large.shape)
+        for m in range(1, N // int(large[0]) + 1):
+            c = int(np.searchsorted(large, N // m, side="right"))
+            f[m * large[:c]] *= g[:c]
+    return f
 
 
 def weighted_combine(d4: np.ndarray, dl: np.ndarray, a: float) -> np.ndarray:
@@ -79,15 +109,29 @@ def weighted_combine(d4: np.ndarray, dl: np.ndarray, a: float) -> np.ndarray:
     return out
 
 
+RUN_BLOCK = 1 << 12
+
+
 def running_sum(x: np.ndarray) -> np.ndarray:
-    """Kahan-compensated cumulative sum."""
+    """Compensated cumulative sum, by np.cumsum over blocks of RUN_BLOCK.
+
+    Each step of a cumsum rounds s[i-1] + x[i] to s[i]; the rounding error
+    (s[i-1] + x[i]) - s[i] is exact in float64 (Knuth's TwoSum), so its own
+    running sum, added back, leaves one rounding per entry, as a Kahan loop
+    does. Each block starts from the previous block's last sum, and the
+    errors carry over.
+    """
+    x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
-    s = 0.0
-    comp = 0.0
-    for i in range(x.shape[0]):
-        y = float(x[i]) - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        out[i] = s
+    hi = lo = 0.0
+    for start in range(0, x.shape[0], RUN_BLOCK):
+        block = x[start : start + RUN_BLOCK]
+        s = np.cumsum(np.concatenate(([hi], block)))
+        prev, cur = s[:-1], s[1:]
+        b = cur - prev
+        err = (prev - (cur - b)) + (block - b)
+        corr = np.cumsum(err)
+        corr += lo
+        np.add(cur, corr, out=out[start : start + RUN_BLOCK])
+        hi, lo = float(cur[-1]), float(corr[-1])
     return out

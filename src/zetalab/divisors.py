@@ -3,7 +3,9 @@ terms from Laurent series, and the resulting error terms.
 
 The weighted divisor function here is the Dirichlet convolution of the
 4-dimensional divisor counts with ell-dimensional counts damped by e^(-a):
-its generating series is zeta(s)^4 * zeta(s+a)^ell. Main terms come from
+its generating series is zeta(s)^4 * zeta(s+a)^ell, so it is
+multiplicative, and its table, like the divisor-count tables, comes from
+the prime-power sieve in _kernels. Main terms come from
 the residues of that series times X^s/s at s = 1 (pole of order 4) and
 s = 1 - a (pole of order ell), read off products of truncated power series
 of zeta around each pole and checked against one contour per pole. The
@@ -30,11 +32,37 @@ CONTOUR_NODES = 32
 CONTOUR_REL_TOL = 1.0e-8
 
 
+# The first ten primes; their product 6469693230 exceeds N_CEILING.
+_FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def _largest_divisor_count(k: int, N: int, i: int = 0, cap: int = 64) -> int:
+    """Largest d_k(n) over n <= N built from _FIRST_PRIMES[i:] with every
+    exponent at most cap (2^64 exceeds any table length).
+
+    d_k(n) depends only on the exponents of n, and moving larger exponents
+    onto smaller primes keeps n <= N, so the maximum over all n <= N is
+    reached at n = 2^v1 3^v2 5^v3 ... with v1 >= v2 >= ...: a short walk.
+    """
+    best = 1
+    if i == len(_FIRST_PRIMES):
+        return best
+    p = _FIRST_PRIMES[i]
+    q, v = p, 1
+    while q <= N and v <= cap:
+        rest = _largest_divisor_count(k, N // q, i + 1, v)
+        best = max(best, math.comb(v + k - 1, k - 1) * rest)
+        q *= p
+        v += 1
+    return best
+
+
 def sieve_divisor_counts(k: int, N: int) -> np.ndarray:
     """Table of k-dimensional divisor counts for n = 1..N (index 0 unused).
 
-    Built by k-1 divisor-convolution passes over the all-ones table; exact
-    int64 integers.
+    d_k is multiplicative with d_k(p^v) = C(v+k-1, k-1); the prime-power
+    sieve builds the table in exact int64 integers. Raises CeilingError
+    when some d_k(n), n <= N, would not fit in int64.
     """
     if not (isinstance(k, int) and k >= 1):
         raise DomainError(f"k must be a positive integer, got {k!r}")
@@ -42,11 +70,12 @@ def sieve_divisor_counts(k: int, N: int) -> np.ndarray:
         raise DomainError(f"N must be a positive integer, got {N!r}")
     if N > N_CEILING:
         raise CeilingError(f"N = {N} exceeds the table ceiling {N_CEILING}")
-    f = np.ones(N + 1, dtype=np.int64)
-    f[0] = 0
-    for _ in range(k - 1):
-        f = _kernels.conv_with_ones(f)
-    return f
+    if _largest_divisor_count(k, N) > np.iinfo(np.int64).max:
+        raise CeilingError(f"d_{k}(n) for n <= {N} exceeds the int64 range of the table")
+    counts = [math.comb(v + k - 1, k - 1) for v in range(N.bit_length())]
+    return _kernels.multiplicative_table(
+        N, lambda p, vmax: np.array(counts[: vmax + 1], dtype=np.int64), np.int64
+    )
 
 
 @dataclass
@@ -74,9 +103,12 @@ class DivisorLedger:
 def weighted_divisor_table(ell: int, a, N: int) -> DivisorLedger:
     """Ledger for the weighted convolution with shift a in [0, 1/2).
 
-    combined[n] = sum over n = q*e of d4(q) * dell(e) * e^(-a). At a = 0
-    every weight is 1, so the table holds the (4+ell)-dimensional divisor
-    counts exactly (integer-valued float64 sums).
+    combined[n] = sum over n = q*e of d4(q) * dell(e) * e^(-a). The
+    function is multiplicative, so the prime-power sieve builds it from its
+    local factor at p^v, sum over i of C(v-i+3, 3) C(i+ell-1, ell-1) p^(-a i)
+    (4 + ell p^(-a) at a prime). At a = 0 every weight is 1, so the table
+    holds the (4+ell)-dimensional divisor counts exactly (integer-valued
+    float64 products).
     """
     if not (isinstance(ell, int) and ell >= 1):
         raise DomainError(f"ell must be a positive integer, got {ell!r}")
@@ -85,7 +117,18 @@ def weighted_divisor_table(ell: int, a, N: int) -> DivisorLedger:
         raise DomainError(f"shift a must lie in [0, 1/2), got {a}")
     d4 = sieve_divisor_counts(4, N)
     dell = sieve_divisor_counts(ell, N)
-    combined = _kernels.weighted_combine(d4, dell, a_f)
+    c4 = [math.comb(v + 3, 3) for v in range(N.bit_length())]
+    cl = [math.comb(i + ell - 1, ell - 1) for i in range(N.bit_length())]
+
+    def local(p, vmax):
+        # sum over i of C(v-i+3, 3) * C(i+ell-1, ell-1) * p^(-a*i), v = 0..vmax
+        w = np.asarray(p, dtype=np.float64) ** -a_f
+        wi = [w**i for i in range(vmax + 1)]
+        return np.array(
+            [sum(c4[v - i] * cl[i] * wi[i] for i in range(v + 1)) for v in range(vmax + 1)]
+        )
+
+    combined = _kernels.multiplicative_table(N, local, np.float64)
     summatory = _kernels.running_sum(combined)
     return DivisorLedger(
         ell=ell,

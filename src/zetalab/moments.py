@@ -55,10 +55,12 @@ class MomentSample:
 
 
 def _integrand(ts: np.ndarray, sigma: float, j: int) -> np.ndarray:
-    # one batched line evaluation per vertical line
-    v = np.abs(_kernels.line_zeta(0.5, ts)) ** 4
-    if j > 0:
-        v = v * np.abs(_kernels.line_zeta(sigma, ts)) ** (2 * j)
+    # one batched line evaluation per vertical line; a power that overflows
+    # float64 gives inf, which _eval_panel reports as a PrecisionError
+    with np.errstate(over="ignore"):
+        v = np.abs(_kernels.line_zeta(0.5, ts)) ** 4
+        if j > 0:
+            v = v * np.abs(_kernels.line_zeta(sigma, ts)) ** (2 * j)
     return v
 
 

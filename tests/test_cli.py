@@ -1,11 +1,16 @@
 """Command-line surface: report content, formats, hashed outputs, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zetalab
 from zetalab.cli import RunConfig, main
 from zetalab.errors import DomainError
 
@@ -229,6 +234,24 @@ def test_exit_trace_not_a_number(capsys):
     rc, out, err = _run(capsys, ["moment", "--t-hi", "100", "--trace", "1e-2,abc"])
     assert rc == 1 and out == ""
     assert err.startswith("error: ") and "1e-2,abc" in err
+
+
+def test_exit_precision_error_alone_on_stderr():
+    # an overflowing panel is reported by the typed error only, not also
+    # by numpy's RuntimeWarning; run as a process so warnings reach stderr
+    src = str(Path(zetalab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["moment", "--t-lo", "0.01", "--t-hi", "1", "--sigma", "1", "--j", "200"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "zetalab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("precision error: "), proc.stderr
 
 
 @pytest.mark.parametrize("trace", ["nan", "nan,1e-3", "1e-2,nan"])

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from zetalab import divisors
+from zetalab import _kernels, divisors
 from zetalab.divisors import (
     N_CEILING,
     _unweighted_main_coeffs,
@@ -87,6 +87,20 @@ def test_sieve_validation():
         sieve_divisor_counts(2, N_CEILING + 1)
 
 
+def test_sieve_rejects_int64_overflow():
+    # d_200(4096) = C(211, 199) ~ 1.18e19 does not fit in int64
+    with pytest.raises(CeilingError):
+        sieve_divisor_counts(200, 4096)
+    assert sieve_divisor_counts(40, 2**17)[2**17] == math.comb(56, 39)
+
+
+@pytest.mark.parametrize("N", [1, 2, 100, 5040, 10**5])
+def test_largest_divisor_count_is_table_maximum(N):
+    # the overflow guard's walk over sorted exponents finds the table maximum
+    for k in range(2, 9):
+        assert divisors._largest_divisor_count(k, N) == int(sieve_divisor_counts(k, N).max())
+
+
 # ---------------------------------------------------------------------------
 # Weighted tables and the summatory function.
 # ---------------------------------------------------------------------------
@@ -120,6 +134,35 @@ def test_zero_shift_collapses_to_plain_counts():
         ledger = weighted_divisor_table(ell, 0.0, 3000)
         plain = sieve_divisor_counts(4 + ell, 3000)
         assert np.array_equal(ledger.combined, plain.astype(np.float64))
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("a", [0.01, 0.35, 0.49])
+def test_weighted_table_matches_convolution(ell, a):
+    # the prime-power table against the ascending-divisor convolution
+    ledger = weighted_divisor_table(ell, a, 10**5)
+    ref = _kernels.weighted_combine(ledger.d4_table, ledger.dell_table, a)
+    assert ledger.combined[0] == 0.0
+    rel = np.abs(ledger.combined[1:] - ref[1:]) / ref[1:]
+    assert float(rel.max()) <= 1e-14
+
+
+def test_weighted_table_prime_power_values():
+    ell, a = 2, 0.35
+    ledger = weighted_divisor_table(ell, a, 3**12)
+    for p, v in ((2, 19), (3, 12)):
+        want = math.fsum(
+            math.comb(v - i + 3, 3) * math.comb(i + ell - 1, ell - 1) * p ** (-a * i)
+            for i in range(v + 1)
+        )
+        assert math.isclose(ledger.combined[p**v], want, rel_tol=1e-14), (p, v)
+
+
+def test_summatory_matches_fsum_at_one_million():
+    N = 10**6
+    ledger = weighted_divisor_table(2, 0.35, N)
+    total = math.fsum(ledger.combined.tolist())
+    assert abs(ledger.summatory[N] - total) <= 1e-13 * total
 
 
 def test_summatory_matches_cumsum(ledger_2_035):
