@@ -1,7 +1,7 @@
 """Exact piecewise bound tables and the constants derived from them.
 
 Everything in this module is exact rational arithmetic (fractions.Fraction)
-end to end: the two piecewise tables, the anchor list of the pointwise growth
+end to end: the two piecewise tables, the anchors of the pointwise growth
 curve, linear interpolation between anchors, the threshold formula, and the
 threshold recursion. The only decimal input is the leading curve anchor,
 which is a truncated literature value; it is stored as the exact rational
@@ -254,19 +254,6 @@ def convex_interpolate(
     return v1 * (1 - t) + v2 * t
 
 
-@lru_cache(maxsize=None)
-def _anchor_list(upto: Fraction, anchor_exponent: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Anchors from 5/7 out to the first lattice point past `upto`."""
-    pts = [(ANCHOR_ABSCISSA, anchor_exponent)]
-    q = 3
-    while True:
-        a, b = interpolation_anchor(q)
-        pts.append((a, b))
-        if a > upto:
-            return tuple(pts)
-        q += 1
-
-
 def pointwise_exponent(
     sigma: Rationalish,
     variant: Optional[str] = None,
@@ -285,13 +272,13 @@ def pointwise_exponent(
     s = _coerce(sigma, "sigma")
     if not (ANCHOR_ABSCISSA <= s < 1):
         raise DomainError(f"sigma must lie in [5/7, 1), got {sigma}")
-    pts = _anchor_list(s, anchor_exponent)
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        if x0 <= s <= x1:
-            value = convex_interpolate(x0, y0, x1, y1, s)
-            break
-    else:  # pragma: no cover - anchor list always brackets by construction
-        raise AssertionError("anchor bracketing failed")
+    # walk successive anchors until the bracket [lo, hi] contains s
+    lo, q = (ANCHOR_ABSCISSA, anchor_exponent), 3
+    hi = interpolation_anchor(q)
+    while s > hi[0]:
+        lo, q = hi, q + 1
+        hi = interpolation_anchor(q)
+    value = convex_interpolate(*lo, *hi, s)
     if variant == "ford":
         return min(float(value), 4.45 * (1.0 - float(s)) ** 1.5)
     return value

@@ -282,7 +282,7 @@ def cmd_thresholds(cfg: RunConfig) -> Report:
     seq = _bounds.threshold_sequence(cfg.depth)
     rows = []
     for rec in seq:
-        lo, hi = (rec.sensitivity or (rec.threshold, rec.threshold))
+        lo, hi = rec.sensitivity
         rows.append(
             [
                 rec.j,

@@ -140,62 +140,55 @@ def hybrid_moment_trace(
         edges.append(min(t_hi, edges[-1] + _panel_width(edges[-1])))
     heap: list = []
     evals = 0
+    refinements = 0
     running_val = 0.0
     running_err = 0.0
-    for a, b in zip(edges, edges[1:]):
+
+    def add_panel(a: float, b: float) -> None:
+        nonlocal evals, running_val, running_err
         coarse, fine, n = _eval_panel(a, b, sigma, j)
         evals += n
         heapq.heappush(heap, (-abs(coarse - fine), a, b, fine))
         running_val += fine
         running_err += abs(coarse - fine)
 
-    refinements = 0
+    for a, b in zip(edges, edges[1:]):
+        add_panel(a, b)
+
     snapshots: list[MomentSample] = []
-
-    def ordered_totals() -> tuple[float, float]:
-        # reduction in ascending interval order: reproducible bit for bit
-        val = 0.0
-        err = 0.0
-        for neg, _a, _b, fine in sorted(heap, key=lambda e: e[1]):
-            val += fine
-            err += -neg
-        return val, err
-
     for tol in tols:
-        while True:
-            if running_err <= tol * abs(running_val) or len(heap) >= panel_ceiling:
-                value, err = ordered_totals()
-                converged = err <= tol * abs(value)
-                snapshots.append(
-                    MomentSample(
-                        t_lo,
-                        t_hi,
-                        sigma,
-                        j,
-                        max(value, 0.0),
-                        err,
-                        {
-                            "panels": len(heap),
-                            "initial_panels": len(edges) - 1,
-                            "refinements": refinements,
-                            "node_evals": evals,
-                            "converged": converged,
-                            "rel_tol": tol,
-                        },
-                    )
-                )
-                break
+        while not (running_err <= tol * abs(running_val) or len(heap) >= panel_ceiling):
             neg, a, b, old_fine = heapq.heappop(heap)
             running_val -= old_fine
             running_err -= -neg
             mid = 0.5 * (a + b)
-            for lo2, hi2 in ((a, mid), (mid, b)):
-                coarse2, fine2, n2 = _eval_panel(lo2, hi2, sigma, j)
-                evals += n2
-                heapq.heappush(heap, (-abs(coarse2 - fine2), lo2, hi2, fine2))
-                running_val += fine2
-                running_err += abs(coarse2 - fine2)
+            add_panel(a, mid)
+            add_panel(mid, b)
             refinements += 1
+        # reduction in ascending interval order: reproducible bit for bit
+        value = 0.0
+        err = 0.0
+        for neg, _a, _b, fine in sorted(heap, key=lambda e: e[1]):
+            value += fine
+            err += -neg
+        snapshots.append(
+            MomentSample(
+                t_lo,
+                t_hi,
+                sigma,
+                j,
+                max(value, 0.0),
+                err,
+                {
+                    "panels": len(heap),
+                    "initial_panels": len(edges) - 1,
+                    "refinements": refinements,
+                    "node_evals": evals,
+                    "converged": err <= tol * abs(value),
+                    "rel_tol": tol,
+                },
+            )
+        )
     return snapshots
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: report content, formats, hashed outputs, exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -73,6 +74,57 @@ def test_config_hash_pinned(capsys, argv, expected):
     rc, out, _ = _run(capsys, argv)
     assert rc == 0
     assert re.search(r"hash=([0-9a-f]{8})", out).group(1) == expected
+
+
+# sha256 of the reports computed only from Fractions and correctly rounded
+# float operations, so they are the same bytes on every platform. Reports
+# that go through libm or mpmath (moment, divisor, --variant ford) are out.
+_PINNED_REPORTS = {
+    "thresholds": {
+        "markdown": "43c0ac7daf44274850b02826d45008c73547f800bbba6455ede1dde212c96f51",
+        "csv": "94578deb85a4d61e67c4f3e4245c74831af618bfb138c5fb6e974ce8bb969740",
+        "json": "eaaa1f9a64744e017fad22d8bccb05e899b8ca229ae232b7e8984a19acf1e30c",
+    },
+    "shift-ranges": {
+        "markdown": "8a3f72d7df8d34d10678b6c8d5234b77aae6f698ee2bc53e44c8cac4a4b0eafb",
+        "csv": "8a12fcf08cfde7ec488dbdff1b1d9ec922d802d386ff8027659d235cc1456862",
+        "json": "fd2f84f037ee9b4546354752d68384bd91c32c244e6bc1c125c5c3f3a8c0f649",
+    },
+    "pairs --j 2 --depth 8": {
+        "markdown": "456d9e642ea39f467fd685712d2728145e97f1f11b73accdc4c57b3f5badb0c1",
+        "csv": "c203a0db8b49b657078058eb31afbf9497937f805bd01affd454cf62caa9d75e",
+        "json": "248546b92706b1ef94e0e16159276b1ff288867e8a6b8ecad64ebf96b4fe2801",
+    },
+    "bounds --table excess": {
+        "markdown": "e135f7b11aceab95b2e64efa60d7e770d5ca450e42d0cc82678127f95bd87397",
+        "csv": "5771bb26c3a249e935c2c95155e25a21a5348840e6346d62257a45d5a8d89586",
+        "json": "0c8291b283a3e2f389f03caaddac60ecfc3d4ba439cad7a80c16a126c62de381",
+    },
+    "bounds --table order": {
+        "markdown": "ca7ab09d7509637c74cf1163cd3474cdab135bb5ae824344e5f3ba5bb2a2bdec",
+        "csv": "941947bfd970a7bb11fbb03120618f3bb51b9d1fa21ec6a2d43ce5b28f038118",
+        "json": "67cd46a6938215dc7b178f8945f39d93f1f32ed87eb907204d84b27caf671aaf",
+    },
+    "bounds --table pointwise": {
+        "markdown": "0a440ee46eb6eaecfce6cbfa762e3ab63c25433f4939aa9c3161203a875fbae8",
+        "csv": "c5064a1b8e49367d39b469e48f68cb7fcbb8a37bd7966fb30ae07eacedea484c",
+        "json": "9342b43a4eb57d1a3179386ebe56222f3e988fb49971aedb1e1f34380b6b6ca9",
+    },
+    "bounds --table order --variant ivic-ouellet": {
+        "csv": "f4eda8289e1c276b347e2c2558aeb108d418d2b4d2cf4dd582e10bd67c33e570",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command, fmt",
+    [(c, f) for c, by_fmt in _PINNED_REPORTS.items() for f in by_fmt],
+    ids=lambda v: v,
+)
+def test_exact_reports_pinned(capsys, command, fmt):
+    rc, out, _ = _run(capsys, command.split() + ["--format", fmt])
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _PINNED_REPORTS[command][fmt]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Arbitrary-precision zeta evaluation: spot values, the functional
 equation, the two independent summation routes, and the error surface."""
 
+import cmath
+import time
+
 import numpy as np
 import pytest
 from mpmath import fabs, mp, mpc, mpf, pi, workdps
@@ -77,14 +80,27 @@ def test_euler_maclaurin_vs_eta_grid():
             assert fabs(a - b) < mpf("2e-21"), f"route mismatch at {s}"
 
 
-def test_near_pole_split_path():
-    # |s-1| < 0.05 switches the Euler-Maclaurin pole handling; the eta
-    # route has no such split and cross-checks it
-    with workdps(30):
-        for s in [mpc("1.001", "0.02"), mpc("0.97", "0.001"), mpc("1.049", "0")]:
-            a = zetanum.zeta_eval(s)
-            b = zetanum.zeta_eval_alternating(s)
-            assert fabs(a - b) < mpf("2e-21")
+def _near_pole_points():
+    points = [complex(1 + 1e-12, 0), complex(1, 1e-12), complex(1 - 1e-9, 1e-9)]
+    # the check-contour nodes of main_terms: radius a/4 around s = 1
+    for a in (0.01, 0.05, 0.2):
+        points += [1 + a / 4 * cmath.exp(2j * cmath.pi * k / 32) for k in range(32)]
+    return points
+
+
+def test_near_pole():
+    # the tail term N^(1-s)/(s-1) is huge here, so the guard digits alone
+    # must carry it; the references run 20 digits deeper: the eta route
+    # where 1 - 2^(1-s) is safely away from 0, mpmath's own zeta where not
+    for dps in (15, 30):
+        for s in _near_pole_points():
+            got = zetanum.zeta_eval(s, dps=dps)
+            with workdps(dps + 20):
+                if abs(1 - 2 ** (1 - s)) >= 1e-6:
+                    ref = zetanum.zeta_eval_alternating(s, dps=dps + 20)
+                else:
+                    ref = mp.zeta(s)
+                assert fabs(got - ref) < mpf(10) ** (4 - dps), f"dps={dps}, s={s}"
 
 
 def test_pole_and_ceiling():
@@ -92,6 +108,20 @@ def test_pole_and_ceiling():
         zetanum.zeta_eval(1)
     with pytest.raises(CeilingError):
         zetanum.zeta_eval(mpc(0.5, 2.0e7))
+
+
+def test_alternating_ceiling():
+    # past the ceiling the eta route must refuse before any work: its term
+    # count and working digits grow linearly in |Im s|
+    start = time.perf_counter()
+    for t in (1.0e4, -1.0e4, 1.0e12):
+        with pytest.raises(CeilingError):
+            zetanum.zeta_eval_alternating(mpc(0.5, t))
+    assert time.perf_counter() - start < 1.0
+    s = mpc(0.5, zetanum._ALTERNATING_IM_CEILING)
+    got = zetanum.zeta_eval_alternating(s)
+    with workdps(45):
+        assert fabs(got - mp.zeta(s)) < mpf("1e-21")
 
 
 def test_target_floor():
