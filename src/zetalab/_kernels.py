@@ -1,10 +1,8 @@
 """Hot numeric kernels: float64 zeta line batches, a prime-power sieve for
-multiplicative tables, a general weighted Dirichlet convolution, and a
-compensated running sum.
+multiplicative tables, and a compensated running sum.
 
 Each kernel has one numpy implementation. Integer tables use exact int64
-arithmetic; the weighted convolution accumulates each slot in ascending
-divisor order.
+arithmetic.
 """
 
 from __future__ import annotations
@@ -92,21 +90,6 @@ def multiplicative_table(N: int, local, dtype) -> np.ndarray:
             c = int(np.searchsorted(large, N // m, side="right"))
             f[m * large[:c]] *= g[:c]
     return f
-
-
-def weighted_combine(d4: np.ndarray, dl: np.ndarray, a: float) -> np.ndarray:
-    """combined[n] = sum over n = q*e of d4[q] * dl[e] * e^(-a), float64.
-
-    Each slot accumulates in ascending e. One transcendental per e.
-    """
-    N = d4.shape[0] - 1
-    d4f = d4.astype(np.float64)
-    out = np.zeros(N + 1, dtype=np.float64)
-    for e in range(1, N + 1):
-        if dl[e]:
-            w = float(dl[e]) * np.float64(e) ** np.float64(-a)
-            out[e::e] += d4f[1 : N // e + 1] * w
-    return out
 
 
 RUN_BLOCK = 1 << 12

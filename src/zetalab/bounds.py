@@ -62,15 +62,15 @@ class PiecewiseBound:
 
     Rule k covers the closed interval [breaks[k], breaks[k+1]], the last one
     [breaks[-1], inf), so interior breakpoints belong to both neighbours.
-    Where the table is continuous the two rules agree exactly and the policy
-    is irrelevant; at a genuine jump the policy picks the better bound
-    ("max" for lower-bound tables, "min" for upper bounds).
+    Where the table is continuous the two rules agree exactly; at a jump the
+    larger branch is taken. That is the order table's rule at 7/8 (184/5,
+    not 98/3); for an upper-bound table the larger branch is still a valid
+    bound, only a weaker one.
     """
 
     label: str
     breaks: tuple[Fraction, ...]
     rules: tuple[Callable[[Fraction], Fraction], ...]
-    at_breakpoint: str = "max"
 
     def __post_init__(self) -> None:
         if len(self.rules) != len(self.breaks):
@@ -99,8 +99,7 @@ class PiecewiseBound:
                 f"{self.label} argument {x} outside domain [{self.breaks[0]}, inf]"
             )
         if k > 0 and xf == self.breaks[k]:
-            pick = max if self.at_breakpoint == "max" else min
-            return pick(self.rules[k - 1](xf), self.rules[k](xf))
+            return max(self.rules[k - 1](xf), self.rules[k](xf))
         return self.rules[k](xf)
 
 
@@ -115,7 +114,6 @@ def moment_excess_table() -> PiecewiseBound:
     F = Fraction
     return PiecewiseBound(
         label="critical-line moment excess",
-        at_breakpoint="min",
         breaks=(F(4), F(12), F(178, 13), F(20028, 1313), F(1836, 101)),
         rules=(
             lambda A: (A - 4) / F(8),
@@ -165,7 +163,6 @@ def bounded_order_table() -> PiecewiseBound:
     F = Fraction
     return PiecewiseBound(
         label="bounded moment order",
-        at_breakpoint="max",
         breaks=(
             F(1, 2), F(5, 8), F(35, 54), F(41, 60), F(3, 4), F(5, 6), F(7, 8),
             _order_table_root(),
@@ -346,7 +343,7 @@ def moment_threshold(sigma0: Rationalish, j: int) -> ThresholdReport:
 
 @lru_cache(maxsize=None)
 def _sequence_values(j_max: int, anchor_exponent: Fraction) -> tuple[Fraction, ...]:
-    values = [Fraction(4, 5)]
+    values = [moment_threshold(Fraction(5, 8), 1).threshold]
     while len(values) < j_max:
         c = values[-1]
         curve = pointwise_exponent(c, anchor_exponent=anchor_exponent)
@@ -355,8 +352,9 @@ def _sequence_values(j_max: int, anchor_exponent: Fraction) -> tuple[Fraction, .
 
 
 def threshold_sequence(j_max: int) -> list[ThresholdReport]:
-    """Thresholds c_1..c_j_max: c_1 = 4/5, then the curve-driven recursion
-    c_j = (6 C + c)/(4 C + 1) with C the pointwise exponent at c = c_{j-1}.
+    """Thresholds c_1..c_j_max: c_1 = 4/5, the table threshold at sigma0 =
+    5/8 and j = 1, then the curve-driven recursion c_j = (6 C + c)/(4 C + 1)
+    with C the pointwise exponent at c = c_{j-1}.
 
     Exact rationals throughout; each report carries the sensitivity bracket
     obtained by re-running with the high end of the anchor truncation.
@@ -367,8 +365,6 @@ def threshold_sequence(j_max: int) -> list[ThresholdReport]:
     high = _sequence_values(j_max, ANCHOR_HIGH)
     base = moment_threshold(Fraction(5, 8), 1)
     reports = [replace(base, sensitivity=(base.threshold, base.threshold))]
-    if low[0] != base.threshold:  # pragma: no cover - both are exactly 4/5
-        raise AssertionError("recursion seed disagrees with table threshold")
     for j in range(2, j_max + 1):
         lo, hi = sorted((low[j - 1], high[j - 1]))
         reports.append(

@@ -400,7 +400,7 @@ def _summatory_and_main(ledger: DivisorLedger, poly: MainTermPolynomial, X: floa
     """Exact summatory and main term at X, after checking the arguments.
 
     X may sit below 1 (empty sum); X beyond the ledger ceiling is a range
-    error. The polynomial must describe the same (ell, a) as the ledger.
+    error, raised by summatory_at. The polynomial must describe the same (ell, a) as the ledger.
     """
     if poly.ell != ledger.ell or float(poly.a) != float(ledger.a):
         raise DomainError(
@@ -409,8 +409,6 @@ def _summatory_and_main(ledger: DivisorLedger, poly: MainTermPolynomial, X: floa
         )
     if X <= 0:
         raise DomainError(f"X must be positive, got {X}")
-    if X > ledger.N:
-        raise DomainError(f"X = {X} beyond ledger ceiling N = {ledger.N}")
     return ledger.summatory_at(X), poly.evaluate(X)
 
 

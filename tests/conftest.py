@@ -1,6 +1,26 @@
-"""Shared pytest wiring for the test suite."""
+"""Shared pytest wiring and oracles for the test suite."""
 
 import sys
+
+import numpy as np
+import pytest
+
+
+def _dirichlet_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """out[n] = sum over n = q*e of f[q] * g[e] for n <= N, accumulated in
+    ascending e, in the common dtype of f and g (entries 0 ignored)."""
+    N = f.shape[0] - 1
+    out = np.zeros(N + 1, dtype=np.result_type(f, g))
+    for e in range(1, N + 1):
+        if g[e]:
+            out[e::e] += f[1 : N // e + 1] * g[e]
+    return out
+
+
+@pytest.fixture(scope="session")
+def dirichlet_convolution():
+    """The divisor-table oracle, independent of the prime-power sieve."""
+    return _dirichlet_convolution
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -289,17 +289,16 @@ def test_piecewise_bound_misuse():
         table.branch_values(F(4))  # the domain's end, not an interior breakpoint
 
 
-def test_piecewise_bound_min_policy_at_jump():
-    # a jump from 1 + x to 3x at x = 2 (values 3 and 6): the "min" policy
-    # keeps the smaller branch there, and each rule holds inside its interval
+def test_piecewise_bound_larger_branch_at_jump():
+    # a jump from 1 + x to 3x at x = 2 (values 3 and 6): the table keeps the
+    # larger branch there, and each rule holds inside its interval
     table = bounds.PiecewiseBound(
         label="toy",
         breaks=(F(0), F(2)),
         rules=(lambda x: 1 + x, lambda x: 3 * x),
-        at_breakpoint="min",
     )
     assert table.branch_values(F(2)) == (3, 6)
-    assert table(2) == 3
+    assert table(2) == 6
     assert table(0) == 1
     assert table(F(3, 2)) == F(5, 2)
     assert table(F(5, 2)) == F(15, 2)

@@ -62,37 +62,28 @@ def test_running_sum_block_edges():
                 assert abs(got[i] - ref) <= math.ulp(ref), (n, i)
 
 
-def conv_with_ones(f: np.ndarray) -> np.ndarray:
-    """Oracle for the divisor tables, one divisor-convolution pass:
-    out[m] = sum of f[d] over divisors d of m, exact int64 (f[0] ignored)."""
-    N = f.shape[0] - 1
-    out = np.zeros_like(f)
-    for d in range(1, N + 1):
-        fd = f[d]
-        if fd:
-            out[d::d] += fd
-    return out
-
-
-def test_conv_with_ones_is_divisor_convolution():
-    f = np.zeros(13, dtype=np.int64)
-    f[1] = 1  # delta at 1: convolution with ones gives the all-ones table
-    out = conv_with_ones(f)
-    assert np.array_equal(out[1:], np.ones(12, dtype=np.int64))
-    g = np.ones(13, dtype=np.int64)
-    g[0] = 0
-    d2 = conv_with_ones(g)
+def test_dirichlet_convolution_oracle(dirichlet_convolution):
+    delta = np.zeros(13, dtype=np.int64)
+    delta[1] = 1  # the unit of convolution
+    ones = np.ones(13, dtype=np.int64)
+    ones[0] = 0
+    assert np.array_equal(dirichlet_convolution(delta, ones)[1:], ones[1:])
+    d2 = dirichlet_convolution(ones, ones)
+    assert d2.dtype == np.int64
     assert list(d2[1:7]) == [1, 2, 2, 3, 2, 4]  # divisor counts
+    w = dirichlet_convolution(ones, ones * 0.5)
+    assert w.dtype == np.float64 and list(w[1:7]) == [0.5, 1.0, 1.0, 1.5, 1.0, 2.0]
 
 
-def test_sieve_equals_convolution_passes():
-    # d_k by prime powers against k-1 convolution passes over the ones table
+def test_sieve_equals_convolution_passes(dirichlet_convolution):
+    # d_k by prime powers against k-1 convolution passes with the ones table
     N = 10**5
-    oracle = np.ones(N + 1, dtype=np.int64)
-    oracle[0] = 0
+    ones = np.ones(N + 1, dtype=np.int64)
+    ones[0] = 0
+    oracle = ones
     for k in range(1, 9):
         if k > 1:
-            oracle = conv_with_ones(oracle)
+            oracle = dirichlet_convolution(oracle, ones)
         assert np.array_equal(sieve_divisor_counts(k, N), oracle), k
 
 

@@ -167,3 +167,19 @@ def test_dps_controls_accuracy():
         fine = zetanum.zeta_eval(mpc(0.6, 9.0), dps=40)
         assert fabs(coarse - fine) < mpf("1e-13")
         assert fabs(coarse - fine) > 0  # genuinely different truncations
+
+
+@pytest.mark.parametrize("s, dps", [(mpc(0.25, 1e4), 35), (mpc(0.5, 1e3), 40), (mpc(0.75, 1e4), 40)])
+def test_high_dps_reaches_target(s, dps):
+    # past dps 30 the tail needs more than 30 correction terms
+    value = zetanum.zeta_eval(s, dps=dps)
+    with workdps(dps + 20):
+        assert fabs(value - mp.zeta(s)) < mpf(10) ** -(dps - 4)
+
+
+@pytest.mark.parametrize("s", [mpc(-40.5, 0), mpc(-80.5, 3)])
+def test_reflected_value_reaches_target(s):
+    # |chi(s)| is about 6e15 and 6e56 here; the target holds for zeta(s)
+    value = zetanum.zeta_eval(s)
+    with workdps(120):
+        assert fabs(value - mp.zeta(s)) < mpf(10) ** -(zetanum.DEFAULT_DPS - 4)
