@@ -81,16 +81,6 @@ class PiecewiseBound:
         if any(b <= a for a, b in zip(self.breaks, self.breaks[1:])):
             raise ValueError(f"{self.label}: breakpoints must increase, got {self.breaks}")
 
-    def interior_breakpoints(self) -> tuple[Fraction, ...]:
-        return self.breaks[1:]
-
-    def branch_values(self, breakpoint: Fraction) -> tuple[Fraction, Fraction]:
-        """Left and right rule values at an interior breakpoint."""
-        k = bisect_right(self.breaks, breakpoint) - 1
-        if k < 1 or self.breaks[k] != breakpoint:
-            raise DomainError(f"{breakpoint} is not an interior breakpoint of {self.label}")
-        return self.rules[k - 1](breakpoint), self.rules[k](breakpoint)
-
     def __call__(self, x: Rationalish) -> Fraction:
         xf = _coerce(x, self.label + " argument")
         k = bisect_right(self.breaks, xf) - 1

@@ -306,10 +306,6 @@ class IdentityCheck:
     s: complex
     N: int
 
-    @property
-    def within_bound(self) -> bool:
-        return self.residual <= self.tail_bound
-
 
 @lru_cache(maxsize=None)
 def _unweighted_main_coeffs(m: int) -> tuple:

@@ -128,6 +128,13 @@ def hybrid_moment_trace(
     tolerance k was first satisfied, so later snapshots strictly refine
     earlier ones. A panel whose value is not finite in float64 raises
     PrecisionError at once.
+
+    Each snapshot's value sums the two-half GL16 values, but its
+    error_estimate sums |coarse - two-half|, the error of the coarse
+    single-interval rule. It therefore over-states the error of the value
+    returned: with panels twice the phase-rule width over [0, 5000]
+    (sigma = 3/4, j = 1) the estimate was 8.6e-4 of the value while the
+    value moved by 1.5e-8, about five orders less.
     """
     tols = [float(x) for x in rel_tols]
     _validate(t_lo, t_hi, sigma, j, tols)
@@ -206,6 +213,8 @@ def hybrid_moment(
     its two-half refinement; refinement continues until the summed estimate
     is below rel_tol times the value or the panel ceiling is reached, in
     which case the sample comes back flagged unconverged rather than as an
-    exception.
+    exception. The value is the two-half sum, while the estimate is the
+    coarse rule's error, so it over-states the error of the value, by
+    about five orders in a measured run (see hybrid_moment_trace).
     """
     return hybrid_moment_trace(t_lo, t_hi, sigma, j, [rel_tol], panel_ceiling)[0]

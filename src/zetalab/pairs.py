@@ -46,10 +46,6 @@ class ExponentPair:
             )
 
 
-def make_pair(k, l, word: str = "") -> ExponentPair:
-    return ExponentPair(Fraction(k), Fraction(l), word)
-
-
 def process_A(pair: ExponentPair) -> ExponentPair:
     """A-process: (k, l) -> (k/(2k+2), (k+l+1)/(2k+2)); word gains an A."""
     k, l = pair.k, pair.l

@@ -1,12 +1,9 @@
 """High-precision zeta evaluation and the functional-equation factor.
 
-Two independent evaluation routes are exposed on purpose: the workhorse
-Euler-Maclaurin path (zeta_eval) and an alternating-series path with
-Cohen/Rodriguez Villegas/Zagier acceleration (zeta_eval_alternating). The
-second exists so the first can be cross-checked without trusting shared
-machinery; tests drive both over the strip and compare. zeta_eval has
-one path: Euler-Maclaurin at s (Re s > 0) or at 1 - s (Re s <= 0), after
-conjugating s when Im s < 0; the pole needs no special case.
+zeta_eval has one path: Euler-Maclaurin at s (Re s > 0) or at 1 - s
+(Re s <= 0), after conjugating s when Im s < 0; the pole needs no special
+case. Its independent cross-check, an alternating series with Cohen,
+Rodriguez Villegas and Zagier's acceleration, lives with the tests.
 
 mpmath's precision state is process-global, so every entry point works
 inside _MP_LOCK and a workdps() context. Results are returned as ordinary
@@ -15,7 +12,6 @@ mpmath numbers, which are immutable and safe to share across threads.
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Optional, Union
 
@@ -30,7 +26,6 @@ from mpmath import (
     loggamma,
     pi,
     power,
-    sqrt,
 )
 
 from .errors import CeilingError, DomainError, PrecisionError
@@ -39,35 +34,34 @@ Complexish = Union[int, float, complex, mpf, mpc]
 
 DEFAULT_DPS = 25
 IM_CEILING = 1.0e7
-# The alternating route works at about 0.77 digits per term and needs
-# about 0.9 |Im s| terms, so its cost grows steeply: on one Xeon core a
-# 25-digit value takes 0.1 s at |Im s| = 300, 2 s at 1e3 and 10 s at 2e3.
-_ALTERNATING_IM_CEILING = 1.0e3
 
 _MP_LOCK = threading.RLock()
 
 
 def _as_mpc(s: Complexish) -> mpc:
     try:
-        return mpc(s)
+        sC = mpc(s)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"not a complex value: {s!r}") from exc
+    if not mp.isfinite(sC):
+        raise DomainError(f"s must be finite, got {s!r}")
+    return sC
 
 
-def _checked_args(
-    s: Complexish, target_abs_error, dps: int, im_ceiling: float
-) -> tuple[mpc, mpf]:
-    """s as mpc and the absolute-error target, after the checks both routes share."""
+def _checked_args(s: Complexish, target_abs_error, dps: int) -> tuple[mpc, mpf]:
+    """s as mpc and the absolute-error target, after the argument checks."""
     sC = _as_mpc(s)
     if sC == 1:
         raise DomainError("zeta has a pole at s = 1")
-    if abs(mp.im(sC)) > im_ceiling:
-        raise CeilingError(f"|Im s| = {abs(mp.im(sC))} exceeds ceiling {im_ceiling:g}")
+    if abs(mp.im(sC)) > IM_CEILING:
+        raise CeilingError(f"|Im s| = {abs(mp.im(sC))} exceeds ceiling {IM_CEILING:g}")
     if target_abs_error is None:
         return sC, mpf(10) ** (-(dps - 4))
     target = mpf(target_abs_error)
-    if not target > 0:
-        raise DomainError(f"target_abs_error must be positive, got {target_abs_error}")
+    if not (target > 0 and mp.isfinite(target)):
+        raise DomainError(
+            f"target_abs_error must be positive and finite, got {target_abs_error}"
+        )
     floor = mpf(10) ** (-(dps - 2))
     if target < floor:
         raise PrecisionError(
@@ -124,73 +118,34 @@ def zeta_eval(
     log10 |chi(s)| more working digits, so the target holds for zeta(s).
     The cost grows with those digits: 1.5 s at s = -100 + 1e4 i and 27 s
     at -100 + 1e5 i on one Xeon core. For Im s < 0 the value is
-    conj(zeta(conj(s))), so zeta_eval(conj(s)) == conj(zeta_eval(s))
-    structurally.
+    conj(zeta(conj(s))), conjugated at the working precision, so
+    zeta_eval(conj(s)) == conj(zeta_eval(s)) bit for bit.
 
-    Raises DomainError at the pole s = 1, CeilingError past the configured
-    |Im s| ceiling, PrecisionError when the target cannot be certified.
+    Raises DomainError at the pole s = 1 and for a non-finite s or target,
+    CeilingError past the configured |Im s| ceiling, PrecisionError when
+    the target cannot be certified.
     """
-    sC, target = _checked_args(s, target_abs_error, dps, IM_CEILING)
+    sC, target = _checked_args(s, target_abs_error, dps)
+    if sC == 0:
+        return mpc(mpf(-1) / 2)
     flip = mp.im(sC) < 0
     if flip:
         sC = conj(sC)
+    reflect = mp.re(sC) <= 0
     with _MP_LOCK:
-        with workdps(dps + 10):
-            if sC == 0:
-                value = mpc(mpf(-1) / 2)
-            elif mp.re(sC) <= 0:
-                # functional equation; |chi| scales the error of zeta(1-s)
+        scale, extra = 1, 0
+        if reflect:
+            # functional equation; |chi| scales the error of zeta(1-s), so
+            # both factors and the conjugation get log10 |chi| more digits
+            with workdps(dps + 10):
                 scale = max(fabs(chi_factor(sC, dps)), 1)
                 extra = int(mp.ceil(mp.log10(scale)))
-                with workdps(dps + 10 + extra):
-                    value = chi_factor(sC, dps + extra) * _euler_maclaurin(
-                        1 - sC, target / scale
-                    )
+        with workdps(dps + 10 + extra):
+            if reflect:
+                value = chi_factor(sC, dps + extra) * _euler_maclaurin(1 - sC, target / scale)
             else:
                 value = _euler_maclaurin(sC, target)
             return conj(value) if flip else value
-
-
-def zeta_eval_alternating(
-    s: Complexish,
-    target_abs_error: Optional[float] = None,
-    dps: int = DEFAULT_DPS,
-) -> mpc:
-    """zeta(s) through the alternating series with CVZ acceleration.
-
-    Completely independent of the Euler-Maclaurin route; used as its
-    cross-check oracle. Valid for Re s > 0 away from s = 1 and from the
-    zeros of 1 - 2^(1-s) on the line Re s = 1, and for |Im s| <= 1e3
-    (_ALTERNATING_IM_CEILING): the term count and the working precision
-    both grow linearly in |Im s|, and past the ceiling it raises
-    CeilingError rather than start a run of seconds to hours.
-    """
-    sC, target = _checked_args(s, target_abs_error, dps, _ALTERNATING_IM_CEILING)
-    if mp.re(sC) <= 0:
-        raise DomainError("alternating route requires Re s > 0")
-    with _MP_LOCK:
-        with workdps(dps + 10):
-            denom = 1 - power(2, 1 - sC)
-            if fabs(denom) < mpf("1e-6"):
-                raise PrecisionError(
-                    f"1 - 2^(1-s) nearly vanishes at s={s}; use zeta_eval instead"
-                )
-            eff_target = target * fabs(denom) / 3
-            t = abs(mp.im(sC))
-            need = float(mp.pi) * t / 2 + float(-log(eff_target))
-            n = int(need / math.log(3 + math.sqrt(8))) + 5
-            with workdps(int(mp.dps + 0.766 * n + 10)):
-                d = (3 + 2 * sqrt(2)) ** n
-                d = (d + 1 / d) / 2
-                b = mpf(-1)
-                c = -d
-                acc = mpc(0)
-                for k in range(n):
-                    c = b - c
-                    acc += c * power(k + 1, -sC)
-                    b = b * (k + n) * (k - n) / ((k + mpf(1) / 2) * (k + 1))
-                eta = acc / d
-                return eta / denom
 
 
 def chi_factor(s: Complexish, dps: int = DEFAULT_DPS) -> mpc:
@@ -198,8 +153,9 @@ def chi_factor(s: Complexish, dps: int = DEFAULT_DPS) -> mpc:
 
     chi(s) = pi^(s - 1/2) * Gamma((1-s)/2) / Gamma(s/2), evaluated through
     log-Gamma so large |t| cannot overflow. Poles of Gamma((1-s)/2) sit at
-    odd positive integers s and raise DomainError; at the poles of
-    Gamma(s/2) (s = 0, -2, -4, ...) chi vanishes and 0 is returned.
+    odd positive integers s and raise DomainError, as a non-finite s does;
+    at the poles of Gamma(s/2) (s = 0, -2, -4, ...) chi vanishes and 0 is
+    returned.
     """
     sC = _as_mpc(s)
     if mp.im(sC) == 0:

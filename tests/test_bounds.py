@@ -41,12 +41,17 @@ def test_moment_excess_spot_values():
     assert bounds.moment_excess(20) == F(448, 205)
 
 
+def _branch_values(table, k):
+    """Left and right rule values at the interior breakpoint breaks[k]."""
+    bp = table.breaks[k]
+    return table.rules[k - 1](bp), table.rules[k](bp)
+
+
 def test_moment_excess_continuity_exact():
     table = bounds.moment_excess_table()
-    bps = table.interior_breakpoints()
-    assert bps == (F(12), F(178, 13), F(20028, 1313), F(1836, 101))
-    for bp in bps:
-        left, right = table.branch_values(bp)
+    assert table.breaks[1:] == (F(12), F(178, 13), F(20028, 1313), F(1836, 101))
+    for k in range(1, len(table.breaks)):
+        left, right = _branch_values(table, k)
         assert left == right  # adjacent rules agree exactly
 
 
@@ -77,24 +82,23 @@ def test_bounded_order_spot_values():
 
 def test_bounded_order_continuity():
     table = bounds.bounded_order_table()
-    bps = table.interior_breakpoints()
-    assert len(bps) == 7
-    for bp in bps[:5]:
-        left, right = table.branch_values(bp)
+    assert len(table.breaks) == 8
+    for k in range(1, 6):
+        left, right = _branch_values(table, k)
         assert left == right
     # 7/8 is a genuine discontinuity of the table: the two adjacent rules
     # are lower bounds from different methods and do not meet there
-    left, right = table.branch_values(F(7, 8))
-    assert (left, right) == (F(184, 5), F(98, 3))
+    assert table.breaks[6] == F(7, 8)
+    assert _branch_values(table, 6) == (F(184, 5), F(98, 3))
     # the final breakpoint is the crossing root of the last two rules
-    root = bps[6]
+    root = table.breaks[7]
     assert abs(float(root) - ROOT_REF) < 1e-12
-    left, right = table.branch_values(root)
+    left, right = _branch_values(table, 7)
     assert abs(float(left - right)) < 1e-9
 
 
 def test_bounded_order_root_is_rule_crossing():
-    root = bounds.bounded_order_table().interior_breakpoints()[6]
+    root = bounds.bounded_order_table().breaks[7]
     f = 98 * (4 * root - 1) * (1 - root) - (24 * root - 9) * (31 - 32 * root)
     assert abs(float(f)) < 1e-11
     # and it is the closed-form root (542 + sqrt(21540))/752, not a float near it
@@ -283,10 +287,6 @@ def test_piecewise_bound_misuse():
         table(F(7, 2))
     with pytest.raises(DomainError, match=r"argument 0.25 outside domain \[1/2, inf\]$"):
         bounds.bounded_order_table()(0.25)
-    with pytest.raises(DomainError):
-        table.branch_values(F(5))  # not a breakpoint
-    with pytest.raises(DomainError):
-        table.branch_values(F(4))  # the domain's end, not an interior breakpoint
 
 
 def test_piecewise_bound_larger_branch_at_jump():
@@ -297,7 +297,7 @@ def test_piecewise_bound_larger_branch_at_jump():
         breaks=(F(0), F(2)),
         rules=(lambda x: 1 + x, lambda x: 3 * x),
     )
-    assert table.branch_values(F(2)) == (3, 6)
+    assert _branch_values(table, 1) == (3, 6)
     assert table(2) == 6
     assert table(0) == 1
     assert table(F(3, 2)) == F(5, 2)

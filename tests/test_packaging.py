@@ -1,8 +1,10 @@
-"""Every runtime dependency declared in pyproject.toml imports, and every
-exported name resolves."""
+"""Every runtime dependency declared in pyproject.toml imports, every
+exported name resolves, and the package holds no function only tests call."""
 
+import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,13 @@ import pytest
 import zetalab
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PACKAGE = Path(zetalab.__file__).resolve().parent
+
+# Public functions whose callers live outside the package: the README's
+# examples (hybrid_moment, error_term), the benchmark worker
+# (dirichlet_identity_check) and argparse, which calls the CLI parser's
+# error method.
+OUTSIDE_ENTRY_POINTS = {"hybrid_moment", "error_term", "dirichlet_identity_check", "error"}
 
 
 def test_declared_dependencies_import():
@@ -25,3 +34,32 @@ def test_declared_dependencies_import():
 def test_exported_names_resolve():
     missing = [name for name in zetalab.__all__ if not hasattr(zetalab, name)]
     assert not missing
+
+
+def _references(node: ast.AST) -> Counter:
+    """Count of the names used in node, as a Name or an Attribute."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+    return names
+
+
+def test_no_test_only_code():
+    # a public function or method that nothing else in the package names is
+    # either an entry point listed above or code only the tests run
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    used = sum((_references(tree) for tree in trees), Counter())
+    exempt = set(zetalab.__all__) | OUTSIDE_ENTRY_POINTS
+    unreferenced = sorted(
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in exempt
+        and used[node.name] == _references(node)[node.name]
+    )
+    assert not unreferenced, f"only tests call: {unreferenced}"

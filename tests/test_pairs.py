@@ -14,7 +14,7 @@ F = Fraction
 
 
 def test_process_arithmetic():
-    p = pairs.make_pair(F(1, 6), F(2, 3))
+    p = pairs.ExponentPair(F(1, 6), F(2, 3))
     a1 = pairs.process_A(p)
     assert (a1.k, a1.l) == (F(1, 14), F(11, 14))
     a2 = pairs.process_A(a1)
@@ -22,7 +22,7 @@ def test_process_arithmetic():
     a3 = pairs.process_A(a2)
     assert (a3.k, a3.l) == (F(1, 62), F(57, 62))
     assert a3.word == "AAA"
-    b = pairs.process_B(pairs.make_pair(0, 1))
+    b = pairs.process_B(pairs.ExponentPair(F(0), F(1)))
     assert (b.k, b.l) == (F(1, 2), F(1, 2))
     assert pairs.process_B(a2).k == F(13, 15) - F(1, 2)
 
@@ -32,24 +32,24 @@ def test_process_B_involution():
     for _ in range(1000):
         k = F(int(rng.integers(0, 500)), 1000)
         l = F(int(rng.integers(500, 1001)), 1000)
-        p = pairs.make_pair(k, l)
+        p = pairs.ExponentPair(k, l)
         q = pairs.process_B(pairs.process_B(p))
         assert (q.k, q.l) == (p.k, p.l)
 
 
 def test_process_B_fixes_base_pair():
-    p = pairs.make_pair(F(1, 6), F(2, 3))
+    p = pairs.ExponentPair(F(1, 6), F(2, 3))
     q = pairs.process_B(p)
     assert (q.k, q.l) == (p.k, p.l)
 
 
 def test_pair_domain_enforced():
     with pytest.raises(DomainError):
-        pairs.make_pair(F(3, 5), F(2, 3))  # k > 1/2
+        pairs.ExponentPair(F(3, 5), F(2, 3))  # k > 1/2
     with pytest.raises(DomainError):
-        pairs.make_pair(F(1, 6), F(2, 5))  # l < 1/2
+        pairs.ExponentPair(F(1, 6), F(2, 5))  # l < 1/2
     with pytest.raises(DomainError):
-        pairs.make_pair(-F(1, 10), F(2, 3))
+        pairs.ExponentPair(-F(1, 10), F(2, 3))
 
 
 def test_processes_preserve_domain():
@@ -123,14 +123,14 @@ def test_generate_pairs_expands_each_value_once(monkeypatch):
 
 
 def test_hybrid_sigma_bound_values():
-    base = pairs.make_pair(F(1, 6), F(2, 3))
+    base = pairs.ExponentPair(F(1, 6), F(2, 3))
     assert pairs.hybrid_sigma_bound(1, base) == F(9, 10)
     aa = pairs.process_A(pairs.process_A(base))
     assert pairs.hybrid_sigma_bound(2, aa) == F(37, 38)
     aaa = pairs.process_A(aa)
     assert pairs.hybrid_sigma_bound(2, aaa) == F(34, 35)
     # (0, 1) never satisfies the feasibility inequality
-    trivial = pairs.make_pair(0, 1)
+    trivial = pairs.ExponentPair(F(0), F(1))
     for j in (1, 2, 3):
         assert pairs.hybrid_sigma_bound(j, trivial) is pairs.INFEASIBLE
     with pytest.raises(DomainError):
@@ -166,13 +166,13 @@ def test_search_deterministic():
 
 
 def test_pointwise_bound_from_pair():
-    p = pairs.make_pair(F(1, 14), F(11, 14))
+    p = pairs.ExponentPair(F(1, 14), F(11, 14))
     assert pairs.pointwise_bound_from_pair(p, F(1, 2)) == F(5, 28)
-    base = pairs.make_pair(F(1, 6), F(2, 3))
+    base = pairs.ExponentPair(F(1, 6), F(2, 3))
     assert pairs.pointwise_bound_from_pair(base, F(1, 2)) == F(1, 6)
-    assert pairs.pointwise_bound_from_pair(pairs.make_pair(0, 1), 1) == 0
+    assert pairs.pointwise_bound_from_pair(pairs.ExponentPair(F(0), F(1)), 1) == 0
     # l - k >= sigma required
     with pytest.raises(DomainError):
-        pairs.pointwise_bound_from_pair(pairs.make_pair(F(1, 2), F(1, 2)), F(1, 2))
+        pairs.pointwise_bound_from_pair(pairs.ExponentPair(F(1, 2), F(1, 2)), F(1, 2))
     with pytest.raises(DomainError):
         pairs.pointwise_bound_from_pair(base, F(1, 4))
