@@ -12,40 +12,48 @@ import math
 import numpy as np
 
 # Tail-correction coefficients B_2k/(2k)! for the float64 zeta batch,
-# k = 1..12; values via 30-digit evaluation, far below float64 noise.
+# k = 1..EM_TERMS; values via 30-digit evaluation, far below float64 noise.
 from mpmath import bernoulli as _bernoulli, gamma as _gamma, workdps as _workdps
+
+EM_TERMS = 28
 
 with _workdps(30):
     EM_COEFFS = np.array(
-        [float(_bernoulli(2 * k) / _gamma(2 * k + 1)) for k in range(1, 13)]
+        [float(_bernoulli(2 * k) / _gamma(2 * k + 1)) for k in range(1, EM_TERMS + 1)]
     )
 
 
-def line_zeta(sigma: float, ts: np.ndarray) -> np.ndarray:
-    """zeta(sigma + i t) for a batch of t >= 0.
+def line_zeta(sigmas, ts: np.ndarray) -> np.ndarray:
+    """zeta(sigma + i t) for each sigma in sigmas and a batch of t >= 0.
 
-    Euler-Maclaurin with truncation N ~ 0.6 * max t and 12 tail terms;
-    float64 throughout. For sigma in [1/2, 1] and t up to 1e5 the absolute
-    error stays below 1e-12 + 1e-14 * t: the rounding of the phases t log n
-    grows with t (against mpmath.zeta, at most 4.3e-15 * t, at sigma = 1/2).
+    Returns one row per sigma. Euler-Maclaurin with truncation
+    N ~ 0.3 * max t and EM_TERMS = 28 tail terms; float64 throughout. All
+    rows share one phase matrix theta = log n * t, laid out n by t: the
+    main sums are W @ cos(theta) - i W @ sin(theta), with row i of W equal
+    to n^(-sigma_i). Each tail term is built from the one before, dividing by
+    N^2 at every step, so no power of N overflows. For sigma in [1/2, 1]
+    and t up to 1e5 the absolute error stays below 1e-12 + 1e-14 * t: the
+    rounding of the phases t log n grows with t (against mpmath.zeta, at
+    most 2.7e-15 * t on 25 batched t in [1e2, 1e5] on three lines).
     sigma = 1 with t = 0 in the batch hits the pole.
     """
+    sig = np.asarray(sigmas, dtype=np.float64)
     ts = np.asarray(ts, dtype=np.float64)
     tmax = float(np.max(np.abs(ts))) if ts.size else 0.0
-    N = max(50, int(0.6 * tmax) + 2)
-    n = np.arange(1, N)
-    lnn = np.log(n)
-    s = sigma + 1j * ts
-    acc = np.exp(-np.outer(s, lnn)).sum(axis=1)
-    lnN = math.log(N)
-    NmS = np.exp(-s * lnN)
+    N = max(50, int(0.3 * tmax) + 2)
+    lnn = np.log(np.arange(1, N))
+    theta = np.multiply.outer(lnn, ts)
+    W = np.exp(-np.multiply.outer(sig, lnn))
+    acc = W @ np.cos(theta) - 1j * (W @ np.sin(theta))
+    s = sig[:, None] + 1j * ts
+    NmS = np.exp(-s * math.log(N))
     acc += NmS * N / (s - 1.0)
     acc += NmS * 0.5
-    poch = s.copy()
-    acc += EM_COEFFS[0] * poch * NmS / N
-    for k in range(2, 13):
-        poch = poch * (s + (2 * k - 3)) * (s + (2 * k - 2))
-        acc += EM_COEFFS[k - 1] * poch * NmS / float(N) ** (2 * k - 1)
+    # tail term k is term k-1 times (s + 2k - 3)(s + 2k - 2) / N^2
+    k = np.arange(2, EM_TERMS + 1)[:, None, None]
+    steps = (s + (2 * k - 3)) * (s + (2 * k - 2)) / (N * N)
+    terms = np.cumprod(np.concatenate([(s * NmS / N)[None], steps]), axis=0)
+    acc += np.tensordot(EM_COEFFS, terms, axes=1)
     return acc
 
 

@@ -179,33 +179,38 @@ def _principal_part(b, order: int, d, power: int, dps: int) -> list[mpf]:
             return [g[order - i] for i in range(1, order + 1)]
 
 
-def _contour_moments(b, order: int, radius, ell: int, a, dps: int) -> list[mpc]:
-    """Principal-part coefficients f_{-1}..f_{-order} of
-    zeta(s)^4 * zeta(s+a)^ell / s at its pole s = 1-b, by contour.
+def _contour_moments(radius, ell: int, a, dps: int) -> list[list[mpc]]:
+    """Principal-part coefficients of zeta(s)^4 * zeta(s+a)^ell / s by
+    contour: f_{-1}..f_{-4} at the pole s = 1, then f_{-1}..f_{-ell} at the
+    pole s = 1-a.
 
-    f_{-i} is the mean over the circle of the function times (s - pole)^i
-    at CONTOUR_NODES nodes; trapezoid on a circle converges spectrally for
-    the analytic integrand. Every value goes through zeta_eval, so this
-    route does not share mpmath's zeta with _principal_part.
+    f_{-i} is the mean over a circle of the function times (s - pole)^i at
+    CONTOUR_NODES nodes; trapezoid on a circle converges spectrally for the
+    analytic integrand. Both circles have the same radius and nodes, so
+    zeta(1 + r z) serves as zeta(s) on the first and as zeta(s + a) on the
+    second: 3 * CONTOUR_NODES zeta values in all. Every value goes through
+    zeta_eval, so this route does not share mpmath's zeta with
+    _principal_part.
     """
     nodes = CONTOUR_NODES
     with _MP_LOCK:
         with workdps(dps + 10):
-            p = 1 - mpf(b)
             r = mpf(radius)
-            ring = []
-            for jj in range(nodes):
-                z = mp.e ** (mpc(0, 2) * mp.pi * jj / nodes)
-                s = p + r * z
-                Fv = zeta_eval(s, dps=dps) ** 4 * zeta_eval(s + a, dps=dps) ** ell / s
-                ring.append((z, Fv))
-            out = []
-            for i in range(1, order + 1):
-                acc = mpc(0)
-                for z, Fv in ring:
-                    acc += Fv * (r * z) ** i
-                out.append(acc / nodes)
-            return out
+            rz = [r * mp.e ** (mpc(0, 2) * mp.pi * jj / nodes) for jj in range(nodes)]
+            at_one = [zeta_eval(1 + w, dps=dps) for w in rz]
+            p = 1 - mpf(a)
+            circles = (
+                # at s = 1, zeta(s) = zeta(1 + w)
+                (4, [z1**4 * zeta_eval(1 + w + a, dps=dps) ** ell / (1 + w)
+                     for w, z1 in zip(rz, at_one)]),
+                # at s = 1 - a, zeta(s + a) = zeta(1 + w)
+                (ell, [zeta_eval(p + w, dps=dps) ** 4 * z1**ell / (p + w)
+                       for w, z1 in zip(rz, at_one)]),
+            )
+            return [
+                [sum(F * w**i for w, F in zip(rz, ring)) / nodes for i in range(1, order + 1)]
+                for order, ring in circles
+            ]
 
 
 @dataclass(frozen=True)
@@ -265,9 +270,9 @@ def main_terms(ell: int, a, dps: int = 30) -> MainTermPolynomial:
     worst = 0.0
     leak = 0.0
     # pole s = 1 of order 4, then pole s = 1 - a of order ell
-    for b, order, d, power in ((0.0, 4, a_f, ell), (a_f, ell, -a_f, 4)):
+    rings = _contour_moments(r, ell, a_f, dps)
+    for (b, order, d, power), ring in zip(((0.0, 4, a_f, ell), (a_f, ell, -a_f, 4)), rings):
         series = _moments_to_coeffs(_principal_part(b, order, d, power, dps))
-        ring = _contour_moments(b, order, r, ell, a_f, dps)
         leak = max([leak] + [abs(float(mp.im(v))) for v in ring])
         for u, v in zip(series, _moments_to_coeffs(ring)):
             worst = max(worst, abs(u - v) / max(abs(u), abs(v), 1e-30))

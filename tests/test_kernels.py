@@ -1,40 +1,75 @@
 """The hot kernels against independent routes: mpmath zeta, fsum, divisor
-convolution."""
+convolution; the quadrature rule's constants against numpy's Gauss-Legendre
+rule and exact monomial integrals."""
 
 import math
 
 import mpmath
 import numpy as np
-from mpmath import mp, mpc, workdps
+import pytest
+from mpmath import mpc, workdps
 
-from zetalab import _kernels, zetanum
+from zetalab import _kernels, moments, zetanum
 from zetalab.divisors import sieve_divisor_counts
 from zetalab.moments import T_CEILING
 
 
+SIGMAS = [0.5, 0.75, 1.0]
+
+
 def test_line_zeta_matches_reference():
-    # float64 batch evaluation vs the arbitrary-precision route
+    # float64 batch evaluation of three lines at once vs the
+    # arbitrary-precision route
     ts = np.array([5.0, 14.134725, 50.0, 123.456, 900.0])
-    for sigma in (0.5, 0.75, 1.0):
-        got = _kernels.line_zeta(sigma, ts)
+    got = _kernels.line_zeta(SIGMAS, ts)
+    assert got.shape == (3, ts.size)
+    for row, sigma in zip(got, SIGMAS):
         with workdps(30):
             for i, t in enumerate(ts):
                 ref = complex(zetanum.zeta_eval(mpc(sigma, t)))
-                assert abs(got[i] - ref) < 5e-12, (sigma, t)
+                assert abs(row[i] - ref) < 5e-12, (sigma, t)
+
+
+def _assert_rows_within_bound(ts):
+    # the documented bound 1e-12 + 1e-14 t for every row, against mpmath's
+    # own zeta (Riemann-Siegel at large t)
+    got = _kernels.line_zeta(SIGMAS, ts)
+    for row, sigma in zip(got, SIGMAS):
+        for i, t in enumerate(ts):
+            with workdps(20):
+                ref = complex(mpmath.zeta(mpc(sigma, t)))
+            assert abs(row[i] - ref) < 1e-12 + 1e-14 * t, (sigma, t)
 
 
 def test_line_zeta_error_bound_up_to_t_ceiling():
-    # the documented bound 1e-12 + 1e-14 t, against mpmath's own zeta
-    # (Riemann-Siegel at large t), three seeded t per decade up to T_CEILING
+    # three seeded t per decade up to T_CEILING, one batch per decade
     rng = np.random.default_rng(11)
-    ts = 10.0 ** (np.repeat(np.arange(1, 5), 3) + rng.uniform(0, 1, 12))
-    ts = np.append(ts, T_CEILING)
-    for sigma in (0.5, 0.75, 1.0):
-        for t in ts:
-            got = _kernels.line_zeta(sigma, np.array([t]))[0]
-            with workdps(20):
-                ref = complex(mpmath.zeta(mpc(sigma, t)))
-            assert abs(got - ref) < 1e-12 + 1e-14 * t, (sigma, t)
+    for decade in range(1, 5):
+        _assert_rows_within_bound(10.0 ** (decade + rng.uniform(0, 1, 3)))
+    _assert_rows_within_bound(np.array([T_CEILING]))
+
+
+def test_line_zeta_error_bound_mixed_batch():
+    # one batch over [1e4, 1e5]: T_CEILING sets the truncation N for the
+    # smaller t too, so their tail terms are far from the ones a batch of
+    # their own would take
+    rng = np.random.default_rng(13)
+    _assert_rows_within_bound(np.concatenate([[1.0e4], 10.0 ** rng.uniform(4, 5, 4), [T_CEILING]]))
+
+
+def test_gauss_kronrod_constants():
+    # G10 is the 10-point Gauss-Legendre rule on every second K21 node
+    x, w = np.polynomial.legendre.leggauss(10)
+    assert np.max(np.abs(moments._K21_NODES[1::2] - x)) <= 1e-15
+    assert np.max(np.abs(moments._G10_WEIGHTS - w)) <= 1e-15
+    assert math.fsum(moments._K21_WEIGHTS) == pytest.approx(2.0, abs=1e-15)
+    # K21 has degree 31: exact for x^k, k <= 31 (odd k by symmetry) ...
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        got = math.fsum(moments._K21_WEIGHTS * moments._K21_NODES**k)
+        assert got == pytest.approx(exact, abs=1e-15), k
+    # ... and not for x^32
+    assert abs(math.fsum(moments._K21_WEIGHTS * moments._K21_NODES**32) - 2.0 / 33) > 1e-13
 
 
 def test_running_sum_compensated():
@@ -42,8 +77,6 @@ def test_running_sum_compensated():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(200_000) * 1e8
     got = _kernels.running_sum(x)
-    import math
-
     exact_tail = math.fsum(x)
     assert abs(got[-1] - exact_tail) <= 1e-6 * abs(exact_tail) + 1e-3
 
