@@ -179,10 +179,12 @@ def _principal_part(b, order: int, d, power: int, dps: int) -> list[mpf]:
             return [g[order - i] for i in range(1, order + 1)]
 
 
-def _contour_moments(radius, ell: int, a, dps: int) -> list[list[mpc]]:
+def _contour_moments(radius, ell: int, a, dps: int) -> list[tuple[tuple, list[mpc]]]:
     """Principal-part coefficients of zeta(s)^4 * zeta(s+a)^ell / s by
     contour: f_{-1}..f_{-4} at the pole s = 1, then f_{-1}..f_{-ell} at the
-    pole s = 1-a.
+    pole s = 1-a. Each ring comes with its pole as the arguments
+    (b, order, d, power) of _principal_part, so the pole layout lives here
+    only.
 
     f_{-i} is the mean over a circle of the function times (s - pole)^i at
     CONTOUR_NODES nodes; trapezoid on a circle converges spectrally for the
@@ -201,15 +203,16 @@ def _contour_moments(radius, ell: int, a, dps: int) -> list[list[mpc]]:
             p = 1 - mpf(a)
             circles = (
                 # at s = 1, zeta(s) = zeta(1 + w)
-                (4, [z1**4 * zeta_eval(1 + w + a, dps=dps) ** ell / (1 + w)
-                     for w, z1 in zip(rz, at_one)]),
+                ((0.0, 4, a, ell), [z1**4 * zeta_eval(1 + w + a, dps=dps) ** ell / (1 + w)
+                                    for w, z1 in zip(rz, at_one)]),
                 # at s = 1 - a, zeta(s + a) = zeta(1 + w)
-                (ell, [zeta_eval(p + w, dps=dps) ** 4 * z1**ell / (p + w)
-                       for w, z1 in zip(rz, at_one)]),
+                ((a, ell, -a, 4), [zeta_eval(p + w, dps=dps) ** 4 * z1**ell / (p + w)
+                                   for w, z1 in zip(rz, at_one)]),
             )
             return [
-                [sum(F * w**i for w, F in zip(rz, ring)) / nodes for i in range(1, order + 1)]
-                for order, ring in circles
+                (pole, [sum(F * w**i for w, F in zip(rz, ring)) / nodes
+                        for i in range(1, pole[1] + 1)])
+                for pole, ring in circles
             ]
 
 
@@ -270,9 +273,8 @@ def main_terms(ell: int, a, dps: int = 30) -> MainTermPolynomial:
     worst = 0.0
     leak = 0.0
     # pole s = 1 of order 4, then pole s = 1 - a of order ell
-    rings = _contour_moments(r, ell, a_f, dps)
-    for (b, order, d, power), ring in zip(((0.0, 4, a_f, ell), (a_f, ell, -a_f, 4)), rings):
-        series = _moments_to_coeffs(_principal_part(b, order, d, power, dps))
+    for pole, ring in _contour_moments(r, ell, a_f, dps):
+        series = _moments_to_coeffs(_principal_part(*pole, dps))
         leak = max([leak] + [abs(float(mp.im(v))) for v in ring])
         for u, v in zip(series, _moments_to_coeffs(ring)):
             worst = max(worst, abs(u - v) / max(abs(u), abs(v), 1e-30))

@@ -42,11 +42,12 @@ def _assert_rows_within_bound(ts):
 
 
 def test_line_zeta_error_bound_up_to_t_ceiling():
-    # three seeded t per decade up to T_CEILING, one batch per decade
+    # three seeded t per decade up to T_CEILING, each t alone, so that each
+    # runs at its own (tightest) truncation N
     rng = np.random.default_rng(11)
-    for decade in range(1, 5):
-        _assert_rows_within_bound(10.0 ** (decade + rng.uniform(0, 1, 3)))
-    _assert_rows_within_bound(np.array([T_CEILING]))
+    ts = 10.0 ** (np.repeat(np.arange(1, 5), 3) + rng.uniform(0, 1, 12))
+    for t in np.append(ts, T_CEILING):
+        _assert_rows_within_bound(np.array([t]))
 
 
 def test_line_zeta_error_bound_mixed_batch():

@@ -98,7 +98,7 @@ def _reference_moments(t_lo, t_hi, lines):
     ],
 )
 def test_error_estimate_covers_true_error(t_lo, t_hi, lines):
-    # each snapshot's estimate bounds its actual error, and meets its tolerance
+    # each snapshot's estimate covers its actual error, and meets its tolerance
     refs = _reference_moments(t_lo, t_hi, lines)
     for (sigma, j), ref in zip(lines, refs):
         trace = moments.hybrid_moment_trace(t_lo, t_hi, sigma, j, [1e-4, 1e-6])
