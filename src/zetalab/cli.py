@@ -41,7 +41,6 @@ class RunConfig:
     """Validated run parameters shared by every subcommand."""
 
     command: str
-    precision: int = 30
     depth: int = 11
     variant: Optional[str] = None
     tol: float = 1.0e-5
@@ -51,8 +50,6 @@ class RunConfig:
     extras: tuple = ()
 
     def __post_init__(self):
-        if self.precision < 15:
-            raise DomainError(f"--precision must be >= 15, got {self.precision}")
         if not (1 <= self.depth <= 12):
             raise DomainError(f"--depth must lie in 1..12, got {self.depth}")
         if self.variant not in _VARIANTS:
@@ -157,9 +154,8 @@ def render_markdown(report: Report) -> str:
     cfg = report.config
     lines = [f"# zetalab {report.command}", ""]
     lines.append(
-        f"configuration: precision={cfg.precision} depth={cfg.depth} "
-        f"variant={cfg.variant or '-'} tol={cfg.tol:g} ceiling={cfg.ceiling} "
-        f"hash={cfg.config_hash()}"
+        f"configuration: depth={cfg.depth} variant={cfg.variant or '-'} "
+        f"tol={cfg.tol:g} ceiling={cfg.ceiling} hash={cfg.config_hash()}"
     )
     lines.append("")
     for table in report.tables:
@@ -413,7 +409,7 @@ def cmd_divisor(cfg: RunConfig, ell: int, a: float, eps: float) -> Report:
 
     report = Report("divisor", cfg)
     ledger = _divisors.weighted_divisor_table(ell, a, cfg.ceiling)
-    poly = _divisors.main_terms(ell, a, dps=cfg.precision)
+    poly = _divisors.main_terms(ell, a)
     decades = [10**k for k in range(3, int(math.log10(cfg.ceiling)) + 1)]
     Xs = [x for x in decades if x <= cfg.ceiling]
     if not Xs or Xs[-1] != cfg.ceiling:
@@ -540,7 +536,6 @@ def _build_parser() -> _Parser:
     # value parsed before the subcommand; RunConfig supplies the defaults.
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     g = common.add_argument_group("common options")
-    g.add_argument("--precision", type=int, help="working significant digits (>= 15)")
     g.add_argument("--depth", type=int, help="search/recursion depth (<= 12)")
     g.add_argument("--variant", choices=_VARIANTS[1:],
                    help="optional sharpened bound variant")

@@ -31,6 +31,8 @@ N_CEILING = 50_000_000
 CONTOUR_NODES = 32
 CONTOUR_REL_TOL = 1.0e-8
 
+_DPS = 30  # working digits of the main terms; 60 round to the same float64s
+
 
 # The first ten primes; their product 6469693230 exceeds N_CEILING.
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -92,8 +94,8 @@ class DivisorLedger:
 
     def summatory_at(self, X: float) -> float:
         """Sum of the weighted divisor values over n <= X (0 below 1)."""
-        if X > self.N:
-            raise DomainError(f"X = {X} beyond table ceiling N = {self.N}")
+        if not (X <= self.N and math.isfinite(X)):  # written so that NaN fails
+            raise DomainError(f"X must be finite and at most the table ceiling N = {self.N}, got {X}")
         idx = int(math.floor(X))
         if idx < 1:
             return 0.0
@@ -152,7 +154,7 @@ def _series_product(x: list, y: list) -> list:
     return [mp.fsum(x[i] * y[k - i] for i in range(k + 1)) for k in range(len(x))]
 
 
-def _principal_part(b, order: int, d, power: int, dps: int) -> list[mpf]:
+def _principal_part(b, order: int, d, power: int) -> list[mpf]:
     """Principal-part coefficients f_{-1}..f_{-order} of
     zeta(s+b)^order * zeta(s+b+d)^power / s at its pole s = 1-b.
 
@@ -163,7 +165,7 @@ def _principal_part(b, order: int, d, power: int, dps: int) -> list[mpf]:
     of G.
     """
     with _MP_LOCK:
-        with workdps(dps + 10):
+        with workdps(_DPS + 10):
             pole = 1 - mpf(b)
             # u zeta(1+u) = 1 + sum over j of (-1)^j gamma_j / j! * u^(j+1)
             laurent = [mpf(1)] + [
@@ -179,7 +181,7 @@ def _principal_part(b, order: int, d, power: int, dps: int) -> list[mpf]:
             return [g[order - i] for i in range(1, order + 1)]
 
 
-def _contour_moments(radius, ell: int, a, dps: int) -> list[tuple[tuple, list[mpc]]]:
+def _contour_moments(radius, ell: int, a) -> list[tuple[tuple, list[mpc]]]:
     """Principal-part coefficients of zeta(s)^4 * zeta(s+a)^ell / s by
     contour: f_{-1}..f_{-4} at the pole s = 1, then f_{-1}..f_{-ell} at the
     pole s = 1-a. Each ring comes with its pole as the arguments
@@ -191,22 +193,23 @@ def _contour_moments(radius, ell: int, a, dps: int) -> list[tuple[tuple, list[mp
     analytic integrand. Both circles have the same radius and nodes, so
     zeta(1 + r z) serves as zeta(s) on the first and as zeta(s + a) on the
     second: 3 * CONTOUR_NODES zeta values in all. Every value goes through
-    zeta_eval, so this route does not share mpmath's zeta with
-    _principal_part.
+    zeta_eval, to the target 10^-(_DPS-4) that gives it _DPS digits, so
+    this route does not share mpmath's zeta with _principal_part.
     """
     nodes = CONTOUR_NODES
     with _MP_LOCK:
-        with workdps(dps + 10):
+        with workdps(_DPS + 10):
+            target = mpf(10) ** (4 - _DPS)
             r = mpf(radius)
             rz = [r * mp.e ** (mpc(0, 2) * mp.pi * jj / nodes) for jj in range(nodes)]
-            at_one = [zeta_eval(1 + w, dps=dps) for w in rz]
+            at_one = [zeta_eval(1 + w, target) for w in rz]
             p = 1 - mpf(a)
             circles = (
                 # at s = 1, zeta(s) = zeta(1 + w)
-                ((0.0, 4, a, ell), [z1**4 * zeta_eval(1 + w + a, dps=dps) ** ell / (1 + w)
+                ((0.0, 4, a, ell), [z1**4 * zeta_eval(1 + w + a, target) ** ell / (1 + w)
                                     for w, z1 in zip(rz, at_one)]),
                 # at s = 1 - a, zeta(s + a) = zeta(1 + w)
-                ((a, ell, -a, 4), [zeta_eval(p + w, dps=dps) ** 4 * z1**ell / (p + w)
+                ((a, ell, -a, 4), [zeta_eval(p + w, target) ** 4 * z1**ell / (p + w)
                                    for w, z1 in zip(rz, at_one)]),
             )
             return [
@@ -228,8 +231,8 @@ class MainTermPolynomial:
     diagnostics: dict = field(default_factory=dict)
 
     def evaluate(self, X: float) -> float:
-        if X <= 0:
-            raise DomainError(f"main terms need X > 0, got {X}")
+        if not 0 < X < math.inf:  # written so that NaN fails
+            raise DomainError(f"main terms need a finite X > 0, got {X}")
         L = math.log(X)
         lead = sum(c * L**k for k, c in enumerate(self.c_coeffs))
         sub = sum(c * L**k for k, c in enumerate(self.cprime_coeffs))
@@ -248,41 +251,42 @@ def _moments_to_coeffs(moments: Sequence[mpc]) -> list[float]:
     return out
 
 
-def main_terms(ell: int, a, dps: int = 30) -> MainTermPolynomial:
+def main_terms(ell: int, a) -> MainTermPolynomial:
     """Main-term polynomials from the principal parts at both poles.
 
-    The coefficients come from truncated power series (_principal_part).
-    One contour of CONTOUR_NODES nodes and radius r = min(a, 1-a, 1/4)/4
-    around each pole checks them; any coefficient disagreeing by more than
-    CONTOUR_REL_TOL relative raises PrecisionError with the advice to raise
-    dps. a = 0 merges the poles and is rejected; use the unweighted divisor
-    path (dimension 4+ell) instead.
+    The coefficients come from truncated power series (_principal_part),
+    worked at _DPS = 30 digits and rounded to float64. One contour of
+    CONTOUR_NODES nodes and radius r = min(a, 1-a, 1/4)/4 around each pole
+    checks them; any coefficient disagreeing by more than CONTOUR_REL_TOL
+    relative raises PrecisionError naming ell, a, r and the discrepancy.
+    More digits do not help there: at ell = 40, a = 0.35 the check fails
+    at 60 digits as at 30. The shift must satisfy 0 < a < 1/2; a = 0
+    merges the two poles, and main terms on that route are ROADMAP item 1.
     """
     if not (isinstance(ell, int) and ell >= 1):
         raise DomainError(f"ell must be a positive integer, got {ell!r}")
     a_f = float(a)
-    if a_f == 0.0:
-        raise DomainError(
-            "a = 0 merges the two poles; use the unweighted divisor path "
-            "of dimension 4+ell instead of main_terms"
-        )
     if not (0.0 < a_f < 0.5):
-        raise DomainError(f"shift a must lie in (0, 1/2), got {a}")
+        raise DomainError(
+            f"main_terms takes a shift 0 < a < 1/2, got {a}; a = 0 merges the "
+            "two poles, and main terms there are ROADMAP item 1"
+        )
     r = min(a_f, 1.0 - a_f, 0.25) / 4.0
     coeffs = []
     worst = 0.0
     leak = 0.0
     # pole s = 1 of order 4, then pole s = 1 - a of order ell
-    for pole, ring in _contour_moments(r, ell, a_f, dps):
-        series = _moments_to_coeffs(_principal_part(*pole, dps))
+    for pole, ring in _contour_moments(r, ell, a_f):
+        series = _moments_to_coeffs(_principal_part(*pole))
         leak = max([leak] + [abs(float(mp.im(v))) for v in ring])
         for u, v in zip(series, _moments_to_coeffs(ring)):
             worst = max(worst, abs(u - v) / max(abs(u), abs(v), 1e-30))
         coeffs.append(tuple(series))
     if worst > CONTOUR_REL_TOL:
         raise PrecisionError(
-            f"series and contour coefficients differ by {worst:.3g} relative "
-            f"(contour radius {r:g}, tolerance {CONTOUR_REL_TOL:g}); raise dps"
+            f"main terms at ell={ell}, a={a_f:g}: series and contour coefficients "
+            f"differ by {worst:.3g} relative at contour radius {r:g}, "
+            f"over the tolerance {CONTOUR_REL_TOL:g}"
         )
     return MainTermPolynomial(
         ell=ell,
@@ -292,7 +296,7 @@ def main_terms(ell: int, a, dps: int = 30) -> MainTermPolynomial:
         diagnostics={
             "radius": r,
             "nodes": CONTOUR_NODES,
-            "dps": dps,
+            "dps": _DPS,
             "max_rel_discrepancy": worst,
             "max_imag_leak": leak,
         },
@@ -316,11 +320,11 @@ class IdentityCheck:
 
 @lru_cache(maxsize=None)
 def _unweighted_main_coeffs(m: int) -> tuple:
-    """Coefficients q_k with sum_{n<=x} d_m(n) ~ x * sum q_k log^k x, at 30 digits:
-    the principal part of zeta(s)^m / s at s = 1."""
+    """Coefficients q_k with sum_{n<=x} d_m(n) ~ x * sum q_k log^k x: the
+    principal part of zeta(s)^m / s at s = 1."""
     if m < 4:
         raise DomainError(f"majorant dimension must be >= 4, got {m}")
-    return tuple(_moments_to_coeffs(_principal_part(0.0, m, 0.0, 0, 30)))
+    return tuple(_moments_to_coeffs(_principal_part(0.0, m, 0.0, 0)))
 
 
 def _log_power_integral(k: int, N: float, sigma: float) -> float:
@@ -370,8 +374,8 @@ def dirichlet_identity_check(
     sC = mpc(s)
     if not float(mp.re(sC)) >= 1.5:  # written so that NaN fails
         raise DomainError(f"need Re s >= 1.5, got {mp.re(sC)}")
-    if N < 10**4:
-        raise DomainError(f"need N >= 10^4, got {N}")
+    if not (isinstance(N, int) and N >= 10**4):
+        raise DomainError(f"need an integer N >= 10^4, got {N!r}")
     if ledger is None:
         ledger = weighted_divisor_table(ell, a, N)
     elif ledger.N < N or ledger.ell != ell or float(ledger.a) != float(a):
@@ -410,7 +414,7 @@ def _summatory_and_main(ledger: DivisorLedger, poly: MainTermPolynomial, X: floa
             f"polynomial is for (ell={poly.ell}, a={poly.a}), ledger holds "
             f"(ell={ledger.ell}, a={ledger.a})"
         )
-    if X <= 0:
+    if not X > 0:  # written so that NaN fails
         raise DomainError(f"X must be positive, got {X}")
     return ledger.summatory_at(X), poly.evaluate(X)
 

@@ -15,10 +15,10 @@ class DomainError(ZetalabError):
 
 
 class PrecisionError(ZetalabError):
-    """A numerical tolerance could not be met at the configured precision.
+    """A numerical tolerance could not be met.
 
-    Raised instead of silently degrading; the message says what to raise
-    (the working precision or the error target) to get past it.
+    Raised instead of silently degrading; the message names the inputs,
+    the tolerance and how far the result missed it.
     """
 
 

@@ -29,8 +29,6 @@ def _run(capsys, argv):
 
 def test_runconfig_validation():
     with pytest.raises(DomainError):
-        RunConfig(command="thresholds", precision=10)
-    with pytest.raises(DomainError):
         RunConfig(command="thresholds", depth=13)
     with pytest.raises(DomainError):
         RunConfig(command="thresholds", depth=0)
@@ -54,26 +52,26 @@ def test_config_hash_semantics():
     assert base.config_hash() == RunConfig(command="bounds", out="/tmp/x").config_hash()
 
 
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
-        (["thresholds"], "8a24b5fe"),
-        (["shift-ranges"], "02c5c280"),
-        (["bounds"], "f2b35561"),
-        (["bounds", "--table", "pointwise", "--variant", "ford", "--count", "9",
-          "--start", "0.72", "--stop", "0.9"], "574b23c1"),
-        (["pairs", "--j", "2", "--depth", "5"], "fc6314e8"),
-        (["moment", "--t-hi", "200", "--sigma", "0.8", "--j", "2"], "71985ec6"),
-        (["divisor", "--ell", "1", "--a", "0.3", "--ceiling", "20000"], "108bb8a3"),
-    ],
-    ids=lambda v: v if isinstance(v, str) else " ".join(v),
-)
-def test_config_hash_pinned(capsys, argv, expected):
-    # the hash covers each command's own options, in name order; it names the
-    # report files, so it must not move when the parser is reorganized
-    rc, out, _ = _run(capsys, argv)
+# The hash covers the hashed RunConfig fields and each command's own
+# options, in name order. It names the report files, so it must not move
+# when the parser is reorganized, only when a hashed field is added or
+# removed; each such change re-pins these values once.
+_PINNED_HASHES = {
+    "thresholds": "c0223122",
+    "shift-ranges": "993d235c",
+    "bounds": "580bf74b",
+    "bounds --table pointwise --variant ford --count 9 --start 0.72 --stop 0.9": "b5dd58a9",
+    "pairs --j 2 --depth 5": "d0232527",
+    "moment --t-hi 200 --sigma 0.8 --j 2": "9d530025",
+    "divisor --ell 1 --a 0.3 --ceiling 20000": "04033cbe",
+}
+
+
+@pytest.mark.parametrize("command", list(_PINNED_HASHES), ids=lambda v: v)
+def test_config_hash_pinned(capsys, command):
+    rc, out, _ = _run(capsys, command.split())
     assert rc == 0
-    assert re.search(r"hash=([0-9a-f]{8})", out).group(1) == expected
+    assert re.search(r"hash=([0-9a-f]{8})", out).group(1) == _PINNED_HASHES[command]
 
 
 # sha256 of the reports computed only from Fractions and correctly rounded
@@ -81,34 +79,34 @@ def test_config_hash_pinned(capsys, argv, expected):
 # that go through libm or mpmath (moment, divisor, --variant ford) are out.
 _PINNED_REPORTS = {
     "thresholds": {
-        "markdown": "43c0ac7daf44274850b02826d45008c73547f800bbba6455ede1dde212c96f51",
+        "markdown": "bf85547b36166d9fd92d961745336a172f4191772ee522fdb62d2702ee21b220",
         "csv": "94578deb85a4d61e67c4f3e4245c74831af618bfb138c5fb6e974ce8bb969740",
-        "json": "eaaa1f9a64744e017fad22d8bccb05e899b8ca229ae232b7e8984a19acf1e30c",
+        "json": "f9954f28e5d655c8415cde39817d8b3b2f609c0a2609da7ae97b246e9af30911",
     },
     "shift-ranges": {
-        "markdown": "8a3f72d7df8d34d10678b6c8d5234b77aae6f698ee2bc53e44c8cac4a4b0eafb",
+        "markdown": "ae02448910cbfc1615dece9b752c5ad7c9a0a3149b46ccc888a3ec50cd13454e",
         "csv": "8a12fcf08cfde7ec488dbdff1b1d9ec922d802d386ff8027659d235cc1456862",
-        "json": "fd2f84f037ee9b4546354752d68384bd91c32c244e6bc1c125c5c3f3a8c0f649",
+        "json": "75af28b7898e1bd9027a6f227912527edd231808e7abeb68dee69e723268dfd4",
     },
     "pairs --j 2 --depth 8": {
-        "markdown": "456d9e642ea39f467fd685712d2728145e97f1f11b73accdc4c57b3f5badb0c1",
+        "markdown": "addd943d210314be3941ceac0d8b47a91e71390276a3f867a058574b153f163d",
         "csv": "c203a0db8b49b657078058eb31afbf9497937f805bd01affd454cf62caa9d75e",
-        "json": "248546b92706b1ef94e0e16159276b1ff288867e8a6b8ecad64ebf96b4fe2801",
+        "json": "0354dc211cf0e6f8c881e3f051992c265c5c1e5259169946178450b2c9c122f8",
     },
     "bounds --table excess": {
-        "markdown": "e135f7b11aceab95b2e64efa60d7e770d5ca450e42d0cc82678127f95bd87397",
+        "markdown": "ee00f3bf13bb3b8cedaabc7bad630e1f365789ceb516056de1478dd1f1ed7049",
         "csv": "5771bb26c3a249e935c2c95155e25a21a5348840e6346d62257a45d5a8d89586",
-        "json": "0c8291b283a3e2f389f03caaddac60ecfc3d4ba439cad7a80c16a126c62de381",
+        "json": "48abf570b874f7b1dd52437011c2ba1819372113a94d4c94829e59da9960f79a",
     },
     "bounds --table order": {
-        "markdown": "ca7ab09d7509637c74cf1163cd3474cdab135bb5ae824344e5f3ba5bb2a2bdec",
+        "markdown": "9c1c4946532eebf1a37dc41a4904a890a37cdcf8b2ae2cfc0b2573d169712566",
         "csv": "941947bfd970a7bb11fbb03120618f3bb51b9d1fa21ec6a2d43ce5b28f038118",
-        "json": "67cd46a6938215dc7b178f8945f39d93f1f32ed87eb907204d84b27caf671aaf",
+        "json": "f36a34cd79f6007a8d75a8fcbe43b12d95d280b980d9a755b0d090885d05e21a",
     },
     "bounds --table pointwise": {
-        "markdown": "0a440ee46eb6eaecfce6cbfa762e3ab63c25433f4939aa9c3161203a875fbae8",
+        "markdown": "55fd9f14b4c2d23312dd514f8cc927d1acd066df504f9e975fe34f5228300942",
         "csv": "c5064a1b8e49367d39b469e48f68cb7fcbb8a37bd7966fb30ae07eacedea484c",
-        "json": "9342b43a4eb57d1a3179386ebe56222f3e988fb49971aedb1e1f34380b6b6ca9",
+        "json": "3625c1f0113a69cbe618646236fa961516e8bea43a9825b28e16328faa115ae6",
     },
     "bounds --table order --variant ivic-ouellet": {
         "csv": "f4eda8289e1c276b347e2c2558aeb108d418d2b4d2cf4dd582e10bd67c33e570",
@@ -269,9 +267,11 @@ def test_out_hash_tracks_config(tmp_path, capsys):
 
 
 def test_exit_validation_error(capsys):
-    rc, _, err = _run(capsys, ["thresholds", "--precision", "10"])
-    assert rc == 1
-    assert "error" in err
+    # an unknown option, here --precision, fails before or after the command
+    for argv in (["thresholds", "--precision", "10"], ["--precision", "30", "thresholds"]):
+        rc, _, err = _run(capsys, argv)
+        assert rc == 1
+        assert "error" in err
 
 
 def test_exit_gate_failure(capsys):

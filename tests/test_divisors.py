@@ -1,6 +1,7 @@
 """Divisor sieves, weighted tables, main terms, and the identity check."""
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,7 +21,7 @@ from zetalab.divisors import (
     sieve_divisor_counts,
     weighted_divisor_table,
 )
-from zetalab.errors import CeilingError, DomainError
+from zetalab.errors import CeilingError, DomainError, PrecisionError
 from zetalab.zetanum import zeta_eval
 
 
@@ -219,7 +220,7 @@ def test_main_terms_frozen_coefficients(poly_1_04, poly_2_035):
 def test_simple_pole_coefficient_closed_form(poly_1_04):
     # one secondary factor makes the lower pole simple, with residue
     # zeta(1-a)^4 / (1-a)
-    want = float(zeta_eval(0.6, dps=30).real ** 4) / 0.6
+    want = float(zeta_eval(0.6, 1e-26).real ** 4) / 0.6
     assert abs(poly_1_04.cprime_coeffs[0] - want) < 1e-8
 
 
@@ -273,7 +274,7 @@ def test_main_terms_zeta_eval_budget(monkeypatch):
 
 
 def test_main_terms_validation():
-    with pytest.raises(DomainError, match="unweighted"):
+    with pytest.raises(DomainError, match=r"0 < a < 1/2, got 0.0; .*ROADMAP item 1"):
         main_terms(1, 0.0)
     with pytest.raises(DomainError):
         main_terms(1, 0.6)
@@ -281,11 +282,19 @@ def test_main_terms_validation():
         main_terms(0, 0.3)
 
 
+def test_main_terms_gate_names_the_point():
+    # at a = 0.35 the contour check misses its gate from ell = 32 on, at 60
+    # digits as at 30, so the message names the inputs, not a digit count
+    with pytest.raises(PrecisionError) as exc:
+        main_terms(32, 0.35)
+    assert re.search(r"ell=32, a=0.35: .* differ by \S+ relative at contour radius 0.0625", str(exc.value))
+    assert "dps" not in str(exc.value)
+
+
 def test_evaluate_rejects_nonpositive(poly_1_04):
-    with pytest.raises(DomainError):
-        poly_1_04.evaluate(0.0)
-    with pytest.raises(DomainError):
-        poly_1_04.evaluate(-3.0)
+    for X in (0.0, -3.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            poly_1_04.evaluate(X)
 
 
 def test_fraction_shift_accepted():
@@ -326,7 +335,7 @@ def test_identity_complex_s():
 
 def test_identity_rhs_is_series_value():
     chk = dirichlet_identity_check(1, 0.0, 3.0, 10**4)
-    want = complex(zeta_eval(3.0, dps=25) ** 5)  # a = 0 merges the factors
+    want = complex(zeta_eval(3.0) ** 5)  # a = 0 merges the factors
     assert abs(chk.rhs - want) < 1e-12 * abs(want)
 
 
@@ -344,6 +353,9 @@ def test_identity_validation():
         dirichlet_identity_check(1, 0.3, 2.0, 5000)
     with pytest.raises(DomainError):
         dirichlet_identity_check(1, 0.3, math.nan, 10**4)
+    ledger = weighted_divisor_table(1, 0.3, 20000)
+    with pytest.raises(DomainError, match="integer N"):
+        dirichlet_identity_check(1, 0.3, 2.0, 20000.0, ledger=ledger)
 
 
 def test_tail_bound_shrinks_with_n():
@@ -382,6 +394,13 @@ def test_error_term_validation(ledger_2_035, poly_2_035, poly_1_04):
         error_term(ledger_2_035, poly_2_035, 0.0)
     with pytest.raises(DomainError):
         error_term(ledger_2_035, poly_2_035, 10**5 + 1)
+    with pytest.raises(DomainError):
+        error_term(ledger_2_035, poly_2_035, math.nan)
+    with pytest.raises(DomainError):
+        error_trend(ledger_2_035, poly_2_035, [10.0, math.nan])
+    for X in (math.nan, -math.inf):
+        with pytest.raises(DomainError):
+            ledger_2_035.summatory_at(X)
 
 
 def test_error_trend_rows(ledger_2_035, poly_2_035):

@@ -63,3 +63,22 @@ def test_no_test_only_code():
         and used[node.name] == _references(node)[node.name]
     )
     assert not unreferenced, f"only tests call: {unreferenced}"
+
+
+def test_no_dead_config_field():
+    # every RunConfig field but the dispatch and output ones must be read as
+    # cfg.<field> by some cmd_* handler; a field no handler reads is a knob
+    # that changes only the config hash
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    config = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RunConfig")
+    knobs = {
+        n.target.id for n in config.body if isinstance(n, ast.AnnAssign)
+    } - {"command", "fmt", "out", "extras"}
+    read = {
+        n.attr
+        for handler in tree.body
+        if isinstance(handler, ast.FunctionDef) and handler.name.startswith("cmd_")
+        for n in ast.walk(handler)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "cfg"
+    }
+    assert knobs and not knobs - read, f"no handler reads: {sorted(knobs - read)}"

@@ -100,7 +100,7 @@ def test_near_pole(zeta_eval_alternating):
     # where 1 - 2^(1-s) is safely away from 0, mpmath's own zeta where not
     for dps in (15, 30):
         for s in _near_pole_points():
-            got = zetanum.zeta_eval(s, dps=dps)
+            got = zetanum.zeta_eval(s, 10.0 ** (4 - dps))
             with workdps(dps + 20):
                 if abs(1 - 2 ** (1 - s)) >= 1e-6:
                     ref = zeta_eval_alternating(s, dps=dps + 20)
@@ -112,8 +112,18 @@ def test_near_pole(zeta_eval_alternating):
 def test_pole_and_ceiling():
     with pytest.raises(DomainError):
         zetanum.zeta_eval(1)
-    with pytest.raises(CeilingError):
-        zetanum.zeta_eval(mpc(0.5, 2.0e7))
+    for t in (1.0001e5, -1.0001e5, 2.0e7):
+        with pytest.raises(CeilingError):
+            zetanum.zeta_eval(mpc(0.5, t))
+
+
+@pytest.mark.parametrize("s", [mpc(0.5, 1e5), mpc(0.75, -1e5)])
+def test_default_target_at_im_ceiling(s):
+    # the advertised range ends at |Im s| = IM_CEILING; check its edge
+    assert abs(mp.im(s)) == zetanum.IM_CEILING
+    value = zetanum.zeta_eval(s)
+    with workdps(45):
+        assert fabs(value - mp.zeta(s)) < mpf("1e-21")
 
 
 def test_alternating_ceiling(zeta_eval_alternating):
@@ -128,11 +138,6 @@ def test_alternating_ceiling(zeta_eval_alternating):
     got = zeta_eval_alternating(s)
     with workdps(45):
         assert fabs(got - mp.zeta(s)) < mpf("1e-21")
-
-
-def test_target_floor():
-    with pytest.raises(PrecisionError):
-        zetanum.zeta_eval(mpc(0.5, 3.0), target_abs_error=1e-40, dps=25)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -189,9 +194,10 @@ def test_chi_modulus_asymptotics():
 
 
 def test_dps_controls_accuracy():
+    # a target of 10^-(d-4) buys d working digits: 18 here, 40 below
     with workdps(45):
-        coarse = zetanum.zeta_eval(mpc(0.6, 9.0), dps=18)
-        fine = zetanum.zeta_eval(mpc(0.6, 9.0), dps=40)
+        coarse = zetanum.zeta_eval(mpc(0.6, 9.0), 1e-14)
+        fine = zetanum.zeta_eval(mpc(0.6, 9.0), 1e-36)
         assert fabs(coarse - fine) < mpf("1e-13")
         assert fabs(coarse - fine) > 0  # genuinely different truncations
 
@@ -199,7 +205,7 @@ def test_dps_controls_accuracy():
 @pytest.mark.parametrize("s, dps", [(mpc(0.25, 1e4), 35), (mpc(0.5, 1e3), 40), (mpc(0.75, 1e4), 40)])
 def test_high_dps_reaches_target(s, dps):
     # past dps 30 the tail needs more than 30 correction terms
-    value = zetanum.zeta_eval(s, dps=dps)
+    value = zetanum.zeta_eval(s, 10.0 ** (4 - dps))
     with workdps(dps + 20):
         assert fabs(value - mp.zeta(s)) < mpf(10) ** -(dps - 4)
 
@@ -210,4 +216,4 @@ def test_reflected_value_reaches_target(s):
     # also below the real axis, where the value is a conjugate
     value = zetanum.zeta_eval(s)
     with workdps(120):
-        assert fabs(value - mp.zeta(s)) < mpf(10) ** -(zetanum.DEFAULT_DPS - 4)
+        assert fabs(value - mp.zeta(s)) < mpf("1e-21")
