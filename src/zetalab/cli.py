@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -32,42 +32,21 @@ EXIT_DOMAIN = 1
 EXIT_PRECISION = 2
 EXIT_CEILING = 3
 
-_VARIANTS = (None, "ivic-ouellet", "ford")
 _FORMATS = ("markdown", "csv", "json")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters shared by every subcommand."""
+    """A subcommand with its own options, which the config hash covers, and
+    the output format and directory, which it does not."""
 
     command: str
-    depth: int = 11
-    variant: Optional[str] = None
-    tol: float = 1.0e-5
-    ceiling: int = 10**6
+    options: tuple  # (name, value) pairs in name order
     fmt: Optional[str] = None
     out: Optional[str] = None
-    extras: tuple = ()
-
-    def __post_init__(self):
-        if not (1 <= self.depth <= 12):
-            raise DomainError(f"--depth must lie in 1..12, got {self.depth}")
-        if self.variant not in _VARIANTS:
-            raise DomainError(f"unknown variant {self.variant!r}")
-        if not self.tol > 0:
-            raise DomainError(f"--tol must be positive, got {self.tol}")
-        if self.ceiling < 1:
-            raise DomainError(f"--ceiling must be positive, got {self.ceiling}")
-        if self.fmt is not None and self.fmt not in _FORMATS:
-            raise DomainError(f"unknown format {self.fmt!r}")
-
-    def hashed_fields(self) -> dict:
-        """Every field but the command and the output format and directory."""
-        skip = ("command", "fmt", "out")
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
 
     def config_hash(self) -> str:
-        doc = {"command": self.command, **self.hashed_fields()}
+        doc = {"command": self.command, **dict(self.options)}
         blob = json.dumps(doc, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:8]
 
@@ -79,8 +58,6 @@ class RunConfig:
 
 @dataclass
 class Report:
-    command: str
-    config: RunConfig
     tables: list = field(default_factory=list)
     checks: list = field(default_factory=list)
     notes: list = field(default_factory=list)
@@ -150,13 +127,10 @@ def _md_section(title: str, columns: Sequence[str], rows: Sequence[Sequence[str]
     return lines + ["| " + " | ".join(row) + " |" for row in rows] + [""]
 
 
-def render_markdown(report: Report) -> str:
-    cfg = report.config
-    lines = [f"# zetalab {report.command}", ""]
-    lines.append(
-        f"configuration: depth={cfg.depth} variant={cfg.variant or '-'} "
-        f"tol={cfg.tol:g} ceiling={cfg.ceiling} hash={cfg.config_hash()}"
-    )
+def render_markdown(report: Report, cfg: RunConfig) -> str:
+    lines = [f"# zetalab {cfg.command}", ""]
+    options = " ".join(f"{k}={'-' if v is None else _fmt(v)}" for k, v in cfg.options)
+    lines.append(f"configuration: {options} hash={cfg.config_hash()}")
     lines.append("")
     for table in report.tables:
         rows = [[_fmt(v) for v in row] for row in table["rows"]]
@@ -176,7 +150,8 @@ def render_markdown(report: Report) -> str:
     return "\n".join(lines)
 
 
-def render_csv(report: Report) -> str:
+def render_csv(report: Report, cfg: RunConfig) -> str:
+    # the CSV body carries no configuration; cfg keeps one renderer signature
     chunks = []
     for table in report.tables:
         lines = [f"# {table['name']}"] if len(report.tables) > 1 or report.checks else []
@@ -192,12 +167,11 @@ def render_csv(report: Report) -> str:
     return "\n\n".join(chunks) + "\n"
 
 
-def render_json(report: Report) -> str:
-    cfg = report.config
+def render_json(report: Report, cfg: RunConfig) -> str:
     doc = {
-        "schema": "zetalab.report.v1",
-        "command": report.command,
-        "config": {**cfg.hashed_fields(), "hash": cfg.config_hash()},
+        "schema": "zetalab.report.v2",
+        "command": cfg.command,
+        "config": {**dict(cfg.options), "hash": cfg.config_hash()},
         "tables": [
             {
                 "name": t["name"],
@@ -218,19 +192,18 @@ _RENDERERS = {"markdown": render_markdown, "csv": render_csv, "json": render_jso
 _EXTENSIONS = {"markdown": "md", "csv": "csv", "json": "json"}
 
 
-def emit(report: Report) -> None:
-    cfg = report.config
+def emit(report: Report, cfg: RunConfig) -> None:
     if cfg.out is None:
         fmt = cfg.fmt or "markdown"
-        sys.stdout.write(_RENDERERS[fmt](report))
+        sys.stdout.write(_RENDERERS[fmt](report, cfg))
         return
     os.makedirs(cfg.out, exist_ok=True)
     formats = [cfg.fmt] if cfg.fmt else list(_FORMATS)
-    stem = f"{report.command}-{cfg.config_hash()}"
+    stem = f"{cfg.command}-{cfg.config_hash()}"
     for fmt in formats:
         path = os.path.join(cfg.out, f"{stem}.{_EXTENSIONS[fmt]}")
         with open(path, "w") as fh:
-            fh.write(_RENDERERS[fmt](report))
+            fh.write(_RENDERERS[fmt](report, cfg))
         sys.stdout.write(f"wrote {path}\n")
 
 
@@ -273,9 +246,9 @@ _REF_SHIFT = {
 }
 
 
-def cmd_thresholds(cfg: RunConfig) -> Report:
-    report = Report("thresholds", cfg)
-    seq = _bounds.threshold_sequence(cfg.depth)
+def cmd_thresholds(depth: int, tol: float) -> Report:
+    report = Report()
+    seq = _bounds.threshold_sequence(depth)
     rows = []
     for rec in seq:
         lo, hi = rec.sensitivity
@@ -290,7 +263,7 @@ def cmd_thresholds(cfg: RunConfig) -> Report:
         )
         if rec.j in _REF_C:
             report.add_check(
-                f"c_{rec.j}", _REF_C[rec.j], float(rec.threshold), cfg.tol
+                f"c_{rec.j}", _REF_C[rec.j], float(rec.threshold), tol
             )
     report.add_table(
         "moment threshold sequence c_j",
@@ -327,13 +300,13 @@ def cmd_thresholds(cfg: RunConfig) -> Report:
     return report
 
 
-def cmd_shift_ranges(cfg: RunConfig) -> Report:
-    report = Report("shift-ranges", cfg)
+def cmd_shift_ranges(tol: float) -> Report:
+    report = Report()
     rows = []
     for pair, ref in _REF_SHIFT.items():
         a_lo, a_hi = _bounds.admissible_shift_range(pair[0])
         rows.append([f"{pair[0]}-{pair[1]}", float(a_lo), a_hi])
-        report.add_check(f"a_low (ell = {pair[0]}-{pair[1]})", ref, float(a_lo), cfg.tol)
+        report.add_check(f"a_low (ell = {pair[0]}-{pair[1]})", ref, float(a_lo), tol)
     report.add_table(
         "admissible shift ranges by weight",
         ["ell", "a_low", "a_high"],
@@ -342,9 +315,9 @@ def cmd_shift_ranges(cfg: RunConfig) -> Report:
     return report
 
 
-def cmd_pairs(cfg: RunConfig, j: int) -> Report:
-    report = Report("pairs", cfg)
-    ranked = _pairs.rank_pairs(j, cfg.depth)
+def cmd_pairs(j: int, depth: int) -> Report:
+    report = Report()
+    ranked = _pairs.rank_pairs(j, depth)
     best_bound = ranked[0][1]
     rows = [
         [pair.word or "(base)", pair.k, pair.l, bound, float(bound)]
@@ -365,24 +338,24 @@ def cmd_pairs(cfg: RunConfig, j: int) -> Report:
     # presence, not for being the minimum
     bound_set = {bound for _, bound in ranked}
     for jj, ref, min_depth in ((1, Fraction(9, 10), 0), (2, Fraction(37, 38), 2)):
-        if j == jj and cfg.depth >= min_depth:
+        if j == jj and depth >= min_depth:
             found = ref if ref in bound_set else best_bound
             report.add_check(f"candidate bound {ref} present (j={j})", ref, found, 0.0)
-    report.notes.append(f"searched words up to length {cfg.depth} over the base pairs")
+    report.notes.append(f"searched words up to length {depth} over the base pairs")
     return report
 
 
-def cmd_moment(cfg: RunConfig, t_lo: float, t_hi: float, sigma: float, j: int,
-               trace: Optional[str]) -> Report:
+def cmd_moment(t_lo: float, t_hi: float, sigma: float, j: int, trace: str,
+               ceiling: int) -> Report:
     from . import moments as _moments
 
     try:
-        tols = [float(t) for t in trace.split(",")] if trace else [cfg.tol]
+        tols = [float(t) for t in trace.split(",")]
     except ValueError:
         raise DomainError(f"--trace takes comma-separated numbers, got {trace!r}") from None
-    report = Report("moment", cfg)
+    report = Report()
     samples = _moments.hybrid_moment_trace(
-        t_lo, t_hi, sigma, j, rel_tols=tols, panel_ceiling=cfg.ceiling
+        t_lo, t_hi, sigma, j, rel_tols=tols, panel_ceiling=ceiling
     )
     rows = [
         [s.t_lo, s.t_hi, s.sigma, s.j, s.value, s.error_estimate]
@@ -404,16 +377,16 @@ def cmd_moment(cfg: RunConfig, t_lo: float, t_hi: float, sigma: float, j: int,
     return report
 
 
-def cmd_divisor(cfg: RunConfig, ell: int, a: float, eps: float) -> Report:
+def cmd_divisor(ell: int, a: float, eps: float, ceiling: int) -> Report:
     from . import divisors as _divisors
 
-    report = Report("divisor", cfg)
-    ledger = _divisors.weighted_divisor_table(ell, a, cfg.ceiling)
+    report = Report()
+    ledger = _divisors.weighted_divisor_table(ell, a, ceiling)
     poly = _divisors.main_terms(ell, a)
-    decades = [10**k for k in range(3, int(math.log10(cfg.ceiling)) + 1)]
-    Xs = [x for x in decades if x <= cfg.ceiling]
-    if not Xs or Xs[-1] != cfg.ceiling:
-        Xs.append(cfg.ceiling)
+    decades = [10**k for k in range(3, int(math.log10(ceiling)) + 1)]
+    Xs = [x for x in decades if x <= ceiling]
+    if not Xs or Xs[-1] != ceiling:
+        Xs.append(ceiling)
     rows = _divisors.error_trend(ledger, poly, Xs, eps=eps)
     col = f"absE_over_X^{0.5 + eps:g}"
     report.add_table(
@@ -463,8 +436,9 @@ _BOUND_TABLES = {
 }
 
 
-def cmd_bounds(cfg: RunConfig, table: str, start: Optional[float], stop: Optional[float], count: int) -> Report:
-    report = Report("bounds", cfg)
+def cmd_bounds(table: str, start: Optional[float], stop: Optional[float], count: int,
+               variant: Optional[str], tol: float) -> Report:
+    report = Report()
     title, (lo, hi), value, (label, x_ref, ref) = _BOUND_TABLES[table]
     lo = lo if start is None else start
     hi = hi if stop is None else stop
@@ -475,18 +449,18 @@ def cmd_bounds(cfg: RunConfig, table: str, start: Optional[float], stop: Optiona
     if count < 2:
         raise DomainError(f"grid needs at least 2 points, got {count}")
     grid = [lo + i * (hi - lo) / (count - 1) for i in range(count)]
-    values = [float(value(Fraction(x).limit_denominator(10**12), cfg.variant)) for x in grid]
+    values = [float(value(Fraction(x).limit_denominator(10**12), variant)) for x in grid]
     report.add_table(title, ["x", "value"], [[x, v] for x, v in zip(grid, values)])
     computed = value(x_ref, None)
     if isinstance(ref, Fraction):
         report.add_check(label, ref, computed, 0.0)
     else:
-        report.add_check(label, ref, float(computed), cfg.tol)
+        report.add_check(label, ref, float(computed), tol)
     if table == "excess":
         monotone = all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
         report.notes.append(f"nondecreasing over grid: {'yes' if monotone else 'NO'}")
-    if cfg.variant:
-        report.notes.append(f"variant in effect: {cfg.variant}")
+    if variant:
+        report.notes.append(f"variant in effect: {variant}")
     return report
 
 
@@ -495,32 +469,66 @@ def cmd_bounds(cfg: RunConfig, table: str, start: Optional[float], stop: Optiona
 # ---------------------------------------------------------------------------
 
 
-# Per subcommand: handler, help text, and its own options as flag -> argparse
-# keywords. The handler takes the own options as keyword arguments; sorted by
-# name they are the config-hash extras.
+def _checked(convert, ok, rule: str):
+    """An argparse type: convert the text, then require ok(value); argparse
+    names the flag in the message of either failure."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # "invalid int value: ..."
+    return parse
+
+
+_DEPTH = _checked(int, lambda v: 1 <= v <= 12, "in 1..12")
+_POSITIVE = _checked(int, lambda v: v >= 1, "positive")
+# written so that NaN fails too
+_TOL = dict(type=_checked(float, lambda v: 0.0 < v < math.inf, "positive and finite"),
+            default=1e-5, help="tolerance of the gated reference rows (default 1e-5)")
+
+# Per subcommand: handler, help text, and its options as flag -> argparse
+# keywords. The handler takes the options as keyword arguments; in name
+# order they are the hashed configuration.
 _COMMANDS = {
-    "thresholds": (cmd_thresholds, "moment threshold sequence and closed-form rows", {}),
-    "shift-ranges": (cmd_shift_ranges, "admissible shift ranges by weight", {}),
+    "thresholds": (cmd_thresholds, "moment threshold sequence and closed-form rows", {
+        "--depth": dict(type=_DEPTH, default=11,
+                        help="last weight j of the sequence c_j (1..12, default 11)"),
+        "--tol": _TOL,
+    }),
+    "shift-ranges": (cmd_shift_ranges, "admissible shift ranges by weight", {
+        "--tol": _TOL,
+    }),
     "pairs": (cmd_pairs, "exponent-pair search for the abscissa bound", {
         "--j": dict(type=int, default=2, help="moment weight"),
+        "--depth": dict(type=_DEPTH, default=11,
+                        help="longest word searched (1..12, default 11)"),
     }),
     "moment": (cmd_moment, "quadrature of the hybrid fourth moment", {
         "--t-lo": dict(type=float, default=0.0),
         "--t-hi": dict(type=float, default=1000.0),
         "--sigma": dict(type=float, default=0.75),
         "--j": dict(type=int, default=1),
-        "--trace": dict(help="comma-separated decreasing relative tolerances (overrides --tol)"),
+        "--trace": dict(default="1e-3", help="comma-separated decreasing relative tolerances, "
+                        "one sample each (default 1e-3)"),
+        "--ceiling": dict(type=_POSITIVE, default=200_000, help="panel budget (default 200000)"),
     }),
     "divisor": (cmd_divisor, "weighted divisor tables, main terms, error trend", {
         "--ell": dict(type=int, default=2),
         "--a": dict(type=float, default=0.35),
         "--eps": dict(type=float, default=0.05, help="trend column normalizes |E| by X^(1/2+eps)"),
+        "--ceiling": dict(type=_POSITIVE, default=10**6, help="sieve length (default 1000000)"),
     }),
     "bounds": (cmd_bounds, "grids of the piecewise bound tables", {
         "--table": dict(choices=list(_BOUND_TABLES), default="order"),
         "--start": dict(type=float),
         "--stop": dict(type=float),
         "--count": dict(type=int, default=49),
+        "--variant": dict(choices=["ivic-ouellet", "ford"],
+                          help="published variant of the order table or the pointwise curve"),
+        "--tol": _TOL,
     }),
 }
 
@@ -531,18 +539,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    # The common options are valid before and after the subcommand. They
+    # The output options are valid before and after the subcommand. They
     # carry no default, so a subparser that does not see a flag keeps the
     # value parsed before the subcommand; RunConfig supplies the defaults.
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    g = common.add_argument_group("common options")
-    g.add_argument("--depth", type=int, help="search/recursion depth (<= 12)")
-    g.add_argument("--variant", choices=_VARIANTS[1:],
-                   help="optional sharpened bound variant")
-    g.add_argument("--tol", type=float,
-                   help="tolerance: reference-row gate, or quadrature target for 'moment'")
-    g.add_argument("--ceiling", type=int,
-                   help="resource ceiling: sieve length for 'divisor', panel budget for 'moment'")
+    g = common.add_argument_group("output options")
     g.add_argument("--format", dest="fmt", choices=list(_FORMATS),
                    help="output format (default: markdown to stdout, all three to --out)")
     g.add_argument("--out", help="output directory; file names carry the config hash")
@@ -557,17 +558,13 @@ def _build_parser() -> _Parser:
 
 
 def _run(argv: Sequence[str]) -> int:
-    # The parsed namespace holds the RunConfig fields that were given and
-    # every option of the subcommand; RunConfig fills the missing defaults.
+    # The parsed namespace holds the command, the output options that were
+    # given and every option of the subcommand.
     args = vars(_build_parser().parse_args(argv))
-    handler = _COMMANDS[args["command"]][0]
-    config_fields = {f.name for f in fields(RunConfig)}
-    own = {k: args.pop(k) for k in sorted(args) if k not in config_fields}
-    # the quadrature defaults to a looser tolerance and a panel budget
-    defaults = {"tol": 1e-3, "ceiling": 200_000} if args["command"] == "moment" else {}
-    cfg = RunConfig(**{**defaults, **args}, extras=tuple(own.items()))
-    report = handler(cfg, **own)
-    emit(report)
+    command = args.pop("command")
+    output = {k: args.pop(k) for k in ("fmt", "out") if k in args}
+    report = _COMMANDS[command][0](**args)
+    emit(report, RunConfig(command, tuple(sorted(args.items())), **output))
     if report.gate_failed():
         sys.stderr.write("one or more gated reference checks failed\n")
         return EXIT_PRECISION

@@ -169,7 +169,9 @@ def hybrid_moment_trace(
     the k-th snapshot is the state of the same refinement the moment
     tolerance k was first satisfied, so later snapshots strictly refine
     earlier ones. A panel whose value is not finite in float64 raises
-    PrecisionError at once.
+    PrecisionError at once. Refinement stops at panel_ceiling panels, and
+    a window whose initial panels alone exceed it raises CeilingError
+    before any node is evaluated ([0, T_CEILING] needs 69,035).
 
     Each snapshot's value sums the panels' K21 values and its
     error_estimate sums their |K21 - G10|, the error of the embedded Gauss
@@ -187,6 +189,11 @@ def hybrid_moment_trace(
     edges = [t_lo]
     while edges[-1] < t_hi:
         edges.append(min(t_hi, edges[-1] + _panel_width(edges[-1])))
+    if len(edges) - 1 > panel_ceiling:
+        raise CeilingError(
+            f"[{t_lo:g}, {t_hi:g}] needs {len(edges) - 1} initial panels, "
+            f"above the panel ceiling {panel_ceiling}"
+        )
     heap: list = []
     evals = 0
     refinements = 0
@@ -254,7 +261,8 @@ def hybrid_moment(
     Each panel's error estimate is |K21 - G10| (see hybrid_moment_trace);
     refinement continues until the summed estimate is below rel_tol times
     the value or the panel ceiling is reached, in which case the sample
-    comes back flagged unconverged rather than as an exception. The value
+    comes back flagged unconverged rather than as an exception (initial
+    panels above the ceiling raise CeilingError). The value
     is the K21 sum; the estimate is the G10 error, which exceeded the
     measured error of the value by 2.7 to 8 orders of magnitude on the
     windows tested, but is not a proven bound.

@@ -13,7 +13,6 @@ import pytest
 
 import zetalab
 from zetalab.cli import RunConfig, main
-from zetalab.errors import DomainError
 
 
 def _run(capsys, argv):
@@ -23,47 +22,63 @@ def _run(capsys, argv):
 
 
 # ---------------------------------------------------------------------------
-# Configuration object.
+# Options and the configuration hash.
 # ---------------------------------------------------------------------------
 
 
-def test_runconfig_validation():
-    with pytest.raises(DomainError):
-        RunConfig(command="thresholds", depth=13)
-    with pytest.raises(DomainError):
-        RunConfig(command="thresholds", depth=0)
-    with pytest.raises(DomainError):
-        RunConfig(command="thresholds", variant="bogus")
-    with pytest.raises(DomainError):
-        RunConfig(command="thresholds", tol=0.0)
-    with pytest.raises(DomainError):
-        RunConfig(command="thresholds", ceiling=0)
-    with pytest.raises(DomainError):
-        RunConfig(command="thresholds", fmt="xml")
+def test_option_validation(capsys):
+    # each check sits on its option and names the flag; an infinite --tol
+    # passed every gated row as "ok", so it turned the gate off
+    for argv, flag in (
+        (["thresholds", "--depth", "13"], "--depth"),
+        (["pairs", "--depth", "0"], "--depth"),
+        (["bounds", "--variant", "bogus"], "--variant"),
+        (["shift-ranges", "--tol", "0"], "--tol"),
+        (["bounds", "--tol", "nan"], "--tol"),
+        (["thresholds", "--tol", "inf"], "--tol"),
+        (["divisor", "--ceiling", "0"], "--ceiling"),
+        (["moment", "--ceiling", "-1"], "--ceiling"),
+        (["thresholds", "--format", "xml"], "--format"),
+    ):
+        rc, out, err = _run(capsys, argv)
+        assert rc == 1 and out == "", argv
+        assert err.startswith(f"error: argument {flag}"), (argv, err)
 
 
-def test_config_hash_semantics():
-    base = RunConfig(command="bounds")
+def test_config_hash_semantics(capsys):
+    options = (("depth", 11), ("tol", 1e-5))
+    base = RunConfig("thresholds", options)
     assert re.fullmatch(r"[0-9a-f]{8}", base.config_hash())
-    assert base.config_hash() == RunConfig(command="bounds").config_hash()
-    assert base.config_hash() != RunConfig(command="bounds", depth=10).config_hash()
-    assert base.config_hash() != RunConfig(command="pairs").config_hash()
-    # the output directory must not perturb the hash
-    assert base.config_hash() == RunConfig(command="bounds", out="/tmp/x").config_hash()
+    assert base.config_hash() == RunConfig("thresholds", options).config_hash()
+    assert base.config_hash() != RunConfig("thresholds", (("depth", 10), ("tol", 1e-5))).config_hash()
+    assert base.config_hash() != RunConfig("pairs", options).config_hash()
+    # neither the output format nor the directory perturbs the hash
+    assert base.config_hash() == RunConfig("thresholds", options, "csv", "/tmp/x").config_hash()
+
+    # through the CLI: a command's hash moves with its own options only,
+    # and an option given at its default leaves it as it is
+    def cli_hash(argv):
+        rc, out, _ = _run(capsys, argv)
+        assert rc == 0
+        return re.search(r"hash=([0-9a-f]{8})", out).group(1)
+
+    default = cli_hash(["thresholds"])
+    assert cli_hash(["thresholds", "--depth", "11", "--tol", "1e-5"]) == default
+    assert cli_hash(["thresholds", "--tol", "1e-4"]) != default
 
 
-# The hash covers the hashed RunConfig fields and each command's own
-# options, in name order. It names the report files, so it must not move
-# when the parser is reorganized, only when a hashed field is added or
-# removed; each such change re-pins these values once.
+# The hash covers the command and its own options, in name order. It names
+# the report files, so it must not move when the parser is reorganized,
+# only when one of the command's options is added or removed; each such
+# change re-pins that command's values once.
 _PINNED_HASHES = {
-    "thresholds": "c0223122",
-    "shift-ranges": "993d235c",
-    "bounds": "580bf74b",
-    "bounds --table pointwise --variant ford --count 9 --start 0.72 --stop 0.9": "b5dd58a9",
-    "pairs --j 2 --depth 5": "d0232527",
-    "moment --t-hi 200 --sigma 0.8 --j 2": "9d530025",
-    "divisor --ell 1 --a 0.3 --ceiling 20000": "04033cbe",
+    "thresholds": "d901249a",
+    "shift-ranges": "50ab72d5",
+    "bounds": "c46d58b6",
+    "bounds --table pointwise --variant ford --count 9 --start 0.72 --stop 0.9": "7a6727e9",
+    "pairs --j 2 --depth 5": "fb2261c0",
+    "moment --t-hi 200 --sigma 0.8 --j 2": "0e7157c2",
+    "divisor --ell 1 --a 0.3 --ceiling 20000": "7bc61fda",
 }
 
 
@@ -79,34 +94,34 @@ def test_config_hash_pinned(capsys, command):
 # that go through libm or mpmath (moment, divisor, --variant ford) are out.
 _PINNED_REPORTS = {
     "thresholds": {
-        "markdown": "bf85547b36166d9fd92d961745336a172f4191772ee522fdb62d2702ee21b220",
+        "markdown": "03ed6424c8d2c0c405100c7901571218f4bbf1258793f45c5c48532169b2b0b0",
         "csv": "94578deb85a4d61e67c4f3e4245c74831af618bfb138c5fb6e974ce8bb969740",
-        "json": "f9954f28e5d655c8415cde39817d8b3b2f609c0a2609da7ae97b246e9af30911",
+        "json": "7efea2050bd1a6e977cff6bb10ed1eedc46084c906c99c18c57bd7296974c7e3",
     },
     "shift-ranges": {
-        "markdown": "ae02448910cbfc1615dece9b752c5ad7c9a0a3149b46ccc888a3ec50cd13454e",
+        "markdown": "b8a90f1527fa2978250aa937b496e494445e58f2f2803de847ab86e442eb1d75",
         "csv": "8a12fcf08cfde7ec488dbdff1b1d9ec922d802d386ff8027659d235cc1456862",
-        "json": "75af28b7898e1bd9027a6f227912527edd231808e7abeb68dee69e723268dfd4",
+        "json": "0ed42c61bebe04adc0a309d277889d5b72638c5ae488cbff246c678577865098",
     },
     "pairs --j 2 --depth 8": {
-        "markdown": "addd943d210314be3941ceac0d8b47a91e71390276a3f867a058574b153f163d",
+        "markdown": "7565034b12e65a6eab011ac515a90ce54bb323e0e55b7a91d6ee83c486ba7851",
         "csv": "c203a0db8b49b657078058eb31afbf9497937f805bd01affd454cf62caa9d75e",
-        "json": "0354dc211cf0e6f8c881e3f051992c265c5c1e5259169946178450b2c9c122f8",
+        "json": "4f5303e2ae9510826dc7659b2e71e6986a39b2e98fcf7615943c5fb0450d2e65",
     },
     "bounds --table excess": {
-        "markdown": "ee00f3bf13bb3b8cedaabc7bad630e1f365789ceb516056de1478dd1f1ed7049",
+        "markdown": "654923766dcfd2aaa1a47aa7a2516c36d0f12681e82510204367b5cd5d057b5a",
         "csv": "5771bb26c3a249e935c2c95155e25a21a5348840e6346d62257a45d5a8d89586",
-        "json": "48abf570b874f7b1dd52437011c2ba1819372113a94d4c94829e59da9960f79a",
+        "json": "123a9c79b66d2278ad5545e4332e3859dedf3ea0d84914ecf91ac61704b1ae62",
     },
     "bounds --table order": {
-        "markdown": "9c1c4946532eebf1a37dc41a4904a890a37cdcf8b2ae2cfc0b2573d169712566",
+        "markdown": "696f510d8ed9260f6b857f990597f30c6dc1dce17d053c051924856a5fdb421d",
         "csv": "941947bfd970a7bb11fbb03120618f3bb51b9d1fa21ec6a2d43ce5b28f038118",
-        "json": "f36a34cd79f6007a8d75a8fcbe43b12d95d280b980d9a755b0d090885d05e21a",
+        "json": "51dff8034e843cb94353ffa577e201e8113d75fdcf23f93a4f13b9001dc2fab1",
     },
     "bounds --table pointwise": {
-        "markdown": "55fd9f14b4c2d23312dd514f8cc927d1acd066df504f9e975fe34f5228300942",
+        "markdown": "fc48c659737440252804a90b8f5ef99c5d7ea6e967fa0b4a48b1df2e62db6e9e",
         "csv": "c5064a1b8e49367d39b469e48f68cb7fcbb8a37bd7966fb30ae07eacedea484c",
-        "json": "3625c1f0113a69cbe618646236fa961516e8bea43a9825b28e16328faa115ae6",
+        "json": "9086df9c2888893138686e06632cb945cd3a30755d53af462086a0cacb25be51",
     },
     "bounds --table order --variant ivic-ouellet": {
         "csv": "f4eda8289e1c276b347e2c2558aeb108d418d2b4d2cf4dd582e10bd67c33e570",
@@ -142,9 +157,11 @@ def test_thresholds_json_schema(capsys):
     rc, out, _ = _run(capsys, ["thresholds", "--format", "json"])
     assert rc == 0
     doc = json.loads(out)
-    assert doc["schema"] == "zetalab.report.v1"
+    assert doc["schema"] == "zetalab.report.v2"
     assert doc["command"] == "thresholds"
     assert re.fullmatch(r"[0-9a-f]{8}", doc["config"]["hash"])
+    assert doc["config"]["depth"] == 11 and doc["config"]["tol"] == 1e-5
+    assert set(doc["config"]) == {"depth", "tol", "hash"}
     assert doc["tables"] and doc["checks"] and doc["notes"]
     ungated = [c for c in doc["checks"] if not c["gated"]]
     assert len(ungated) == 1
@@ -175,14 +192,52 @@ def test_pairs_contains_known_bound(capsys):
 
 @pytest.mark.parametrize(
     "flags, command",
-    [(["--depth", "5"], ["pairs", "--j", "2"]), (["--format", "json"], ["shift-ranges"])],
-    ids=["depth-pairs", "format-shift-ranges"],
+    [(["--out", "{tmp}"], ["pairs", "--j", "2", "--depth", "5"]),
+     (["--format", "json"], ["shift-ranges"])],
+    ids=["out-pairs", "format-shift-ranges"],
 )
-def test_global_flags_same_before_and_after_subcommand(capsys, flags, command):
+def test_global_flags_same_before_and_after_subcommand(capsys, tmp_path, flags, command):
+    flags = [f.format(tmp=tmp_path) for f in flags]
     rc_before, before, _ = _run(capsys, flags + command)
     rc_after, after, _ = _run(capsys, command + flags)
     assert rc_before == rc_after == 0
     assert before == after
+
+
+# (subcommand, option) pairs that no handler reads, and moment's --tol,
+# which --trace replaces; each exits 1 as an unknown option
+_FOREIGN_OPTIONS = [
+    ["thresholds", "--variant", "ford"],
+    ["thresholds", "--ceiling", "5"],
+    ["shift-ranges", "--depth", "10"],
+    ["shift-ranges", "--variant", "ford"],
+    ["shift-ranges", "--ceiling", "5"],
+    ["pairs", "--variant", "ford"],
+    ["pairs", "--tol", "1e-3"],
+    ["pairs", "--ceiling", "5"],
+    ["moment", "--depth", "3"],
+    ["moment", "--variant", "ford"],
+    ["moment", "--tol", "1e-4"],
+    ["divisor", "--depth", "2"],
+    ["divisor", "--variant", "ford"],
+    ["divisor", "--tol", "3"],
+    ["bounds", "--depth", "3"],
+    ["bounds", "--ceiling", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", _FOREIGN_OPTIONS, ids=" ".join)
+def test_exit_option_of_another_command(capsys, argv):
+    rc, out, err = _run(capsys, argv)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: unrecognized arguments: ") and argv[1] in err
+
+
+def test_exit_command_option_before_command(capsys):
+    # only --format and --out are common; a subcommand's option must follow it
+    rc, out, err = _run(capsys, ["--depth", "5", "pairs"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_moment_csv_header(capsys):
@@ -255,7 +310,7 @@ def test_out_reruns_byte_identical(tmp_path, capsys):
 
 def test_out_hash_tracks_config(tmp_path, capsys):
     _run(capsys, ["shift-ranges", "--out", str(tmp_path), "--format", "csv"])
-    _run(capsys, ["shift-ranges", "--out", str(tmp_path), "--format", "csv", "--depth", "10"])
+    _run(capsys, ["shift-ranges", "--out", str(tmp_path), "--format", "csv", "--tol", "1e-4"])
     names = sorted(p.name for p in tmp_path.iterdir())
     assert len(names) == 2  # distinct hashes, no overwrite
     assert all(name.endswith(".csv") for name in names)
@@ -357,6 +412,16 @@ def test_exit_resource_ceiling(capsys):
     rc, _, err = _run(capsys, ["moment", "--t-hi", "200000"])
     assert rc == 3
     assert "ceiling" in err
+
+
+def test_exit_moment_initial_panels_above_ceiling(capsys):
+    # [0, 300] takes 70 initial panels by the phase rule: a budget of 3
+    # fails before any node is evaluated, a budget of exactly 70 runs
+    rc, out, err = _run(capsys, ["moment", "--t-hi", "300", "--ceiling", "3"])
+    assert rc == 3 and out == ""
+    assert err.startswith("ceiling error: ") and "70 initial panels" in err
+    rc, out, _ = _run(capsys, ["moment", "--t-hi", "300", "--ceiling", "70", "--format", "csv"])
+    assert rc == 0 and out.startswith("T_lo,T_hi,sigma,j,value,error_estimate")
 
 
 def test_exit_unknown_command(capsys):

@@ -124,6 +124,26 @@ def test_panel_ceiling_reported_not_raised():
     assert s.value > 0
 
 
+def test_initial_panels_above_ceiling_raise(monkeypatch):
+    # the budget covers the phase rule's initial panels too: [0.1, 50]
+    # takes 6, so a ceiling of 5 raises before any node is evaluated and a
+    # ceiling of exactly 6 runs
+    evaluated = []
+    real = moments._eval_panel
+
+    def counted(*args):
+        evaluated.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(moments, "_eval_panel", counted)
+    with pytest.raises(CeilingError, match="6 initial panels"):
+        moments.hybrid_moment_trace(0.1, 50.0, 1.0, 3, [1e-3], panel_ceiling=5)
+    assert evaluated == []
+    s = moments.hybrid_moment(0.1, 50.0, 1.0, 3, rel_tol=1e-6, panel_ceiling=6)
+    assert s.step_stats["initial_panels"] == 6 and s.step_stats["panels"] == 6
+    assert len(evaluated) == 6
+
+
 def test_moment_positive_and_scales():
     a = moments.hybrid_moment(0, 100, 0.5, 0, rel_tol=1e-3)
     b = moments.hybrid_moment(0, 200, 0.5, 0, rel_tol=1e-3)

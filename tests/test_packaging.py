@@ -66,19 +66,26 @@ def test_no_test_only_code():
 
 
 def test_no_dead_config_field():
-    # every RunConfig field but the dispatch and output ones must be read as
-    # cfg.<field> by some cmd_* handler; a field no handler reads is a knob
-    # that changes only the config hash
+    # every option a subcommand declares must be a parameter of its cmd_*
+    # handler that the handler's body reads; an option no handler reads is
+    # a knob that changes only the config hash
+    from zetalab.cli import _COMMANDS
+
     tree = ast.parse((PACKAGE / "cli.py").read_text())
-    config = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RunConfig")
-    knobs = {
-        n.target.id for n in config.body if isinstance(n, ast.AnnAssign)
-    } - {"command", "fmt", "out", "extras"}
-    read = {
-        n.attr
-        for handler in tree.body
-        if isinstance(handler, ast.FunctionDef) and handler.name.startswith("cmd_")
-        for n in ast.walk(handler)
-        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "cfg"
+    handlers = {
+        n.name: n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("cmd_")
     }
-    assert knobs and not knobs - read, f"no handler reads: {sorted(knobs - read)}"
+    checked = 0
+    for command, (handler, _, options) in _COMMANDS.items():
+        node = handlers[handler.__name__]
+        params = {arg.arg for arg in node.args.args}
+        read = {
+            n.id for stmt in node.body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for flag in options:
+            dest = flag.lstrip("-").replace("-", "_")
+            assert dest in params, f"{command} {flag}: not a parameter of {node.name}"
+            assert dest in read, f"{command} {flag}: {node.name} never reads {dest}"
+            checked += 1
+    assert checked == 21  # the settable values the configuration hash covers
