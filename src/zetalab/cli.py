@@ -56,6 +56,11 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
+# Tolerance of the decimal reference rows: the decimals are printed to six
+# places, and the worst gaps are 4.5e-7 (c_j) and 3.8e-7 (a_low).
+_GATE_TOL = 1e-5
+
+
 @dataclass
 class Report:
     tables: list = field(default_factory=list)
@@ -65,13 +70,13 @@ class Report:
     def add_table(self, name: str, columns: Sequence[str], rows: Sequence[Sequence]):
         self.tables.append({"name": name, "columns": list(columns), "rows": [list(r) for r in rows]})
 
-    def add_check(self, label: str, reference, computed, tol, gated: bool = True, note: str = ""):
+    def add_check(self, label: str, reference, computed, gated: bool = True, note: str = ""):
+        # an exact row must match exactly, a decimal one within _GATE_TOL
         if isinstance(reference, Fraction) and isinstance(computed, Fraction):
-            diff = abs(computed - reference)
-            ok = diff == 0
+            diff, tol = abs(computed - reference), 0.0
         else:
-            diff = abs(float(computed) - float(reference))
-            ok = diff <= tol
+            diff, tol = abs(float(computed) - float(reference)), _GATE_TOL
+        ok = diff <= tol
         self.checks.append(
             {
                 "label": label,
@@ -98,6 +103,8 @@ def _fmt(v) -> str:
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, float):
         return f"{v:.12g}"
+    if isinstance(v, tuple):
+        return ",".join(_fmt(x) for x in v)
     return str(v)
 
 
@@ -129,8 +136,8 @@ def _md_section(title: str, columns: Sequence[str], rows: Sequence[Sequence[str]
 
 def render_markdown(report: Report, cfg: RunConfig) -> str:
     lines = [f"# zetalab {cfg.command}", ""]
-    options = " ".join(f"{k}={'-' if v is None else _fmt(v)}" for k, v in cfg.options)
-    lines.append(f"configuration: {options} hash={cfg.config_hash()}")
+    fields = [f"{k}={'-' if v is None else _fmt(v)}" for k, v in cfg.options]
+    lines.append(" ".join(["configuration:", *fields, f"hash={cfg.config_hash()}"]))
     lines.append("")
     for table in report.tables:
         rows = [[_fmt(v) for v in row] for row in table["rows"]]
@@ -169,7 +176,7 @@ def render_csv(report: Report, cfg: RunConfig) -> str:
 
 def render_json(report: Report, cfg: RunConfig) -> str:
     doc = {
-        "schema": "zetalab.report.v2",
+        "schema": "zetalab.report.v3",
         "command": cfg.command,
         "config": {**dict(cfg.options), "hash": cfg.config_hash()},
         "tables": [
@@ -246,7 +253,7 @@ _REF_SHIFT = {
 }
 
 
-def cmd_thresholds(depth: int, tol: float) -> Report:
+def cmd_thresholds(depth: int) -> Report:
     report = Report()
     seq = _bounds.threshold_sequence(depth)
     rows = []
@@ -262,9 +269,7 @@ def cmd_thresholds(depth: int, tol: float) -> Report:
             ]
         )
         if rec.j in _REF_C:
-            report.add_check(
-                f"c_{rec.j}", _REF_C[rec.j], float(rec.threshold), tol
-            )
+            report.add_check(f"c_{rec.j}", _REF_C[rec.j], float(rec.threshold))
     report.add_table(
         "moment threshold sequence c_j",
         ["j", "c_j", "sensitivity_lo", "sensitivity_hi", "provenance"],
@@ -280,7 +285,6 @@ def cmd_thresholds(depth: int, tol: float) -> Report:
             f"closed-form threshold (sigma0={_fmt(sigma0)}, j={j})",
             ref,
             rec.threshold,
-            0.0,
             gated=gated,
             note=note,
         )
@@ -300,13 +304,13 @@ def cmd_thresholds(depth: int, tol: float) -> Report:
     return report
 
 
-def cmd_shift_ranges(tol: float) -> Report:
+def cmd_shift_ranges() -> Report:
     report = Report()
     rows = []
     for pair, ref in _REF_SHIFT.items():
         a_lo, a_hi = _bounds.admissible_shift_range(pair[0])
         rows.append([f"{pair[0]}-{pair[1]}", float(a_lo), a_hi])
-        report.add_check(f"a_low (ell = {pair[0]}-{pair[1]})", ref, float(a_lo), tol)
+        report.add_check(f"a_low (ell = {pair[0]}-{pair[1]})", ref, float(a_lo))
     report.add_table(
         "admissible shift ranges by weight",
         ["ell", "a_low", "a_high"],
@@ -340,22 +344,18 @@ def cmd_pairs(j: int, depth: int) -> Report:
     for jj, ref, min_depth in ((1, Fraction(9, 10), 0), (2, Fraction(37, 38), 2)):
         if j == jj and depth >= min_depth:
             found = ref if ref in bound_set else best_bound
-            report.add_check(f"candidate bound {ref} present (j={j})", ref, found, 0.0)
+            report.add_check(f"candidate bound {ref} present (j={j})", ref, found)
     report.notes.append(f"searched words up to length {depth} over the base pairs")
     return report
 
 
-def cmd_moment(t_lo: float, t_hi: float, sigma: float, j: int, trace: str,
+def cmd_moment(t_lo: float, t_hi: float, sigma: float, j: int, trace: tuple,
                ceiling: int) -> Report:
     from . import moments as _moments
 
-    try:
-        tols = [float(t) for t in trace.split(",")]
-    except ValueError:
-        raise DomainError(f"--trace takes comma-separated numbers, got {trace!r}") from None
     report = Report()
     samples = _moments.hybrid_moment_trace(
-        t_lo, t_hi, sigma, j, rel_tols=tols, panel_ceiling=ceiling
+        t_lo, t_hi, sigma, j, rel_tols=trace, panel_ceiling=ceiling
     )
     rows = [
         [s.t_lo, s.t_hi, s.sigma, s.j, s.value, s.error_estimate]
@@ -368,7 +368,7 @@ def cmd_moment(t_lo: float, t_hi: float, sigma: float, j: int, trace: str,
     )
     last = samples[-1]
     report.notes.append(
-        f"refinement trace over tolerances {', '.join(f'{t:g}' for t in tols)}; "
+        f"refinement trace over tolerances {', '.join(f'{t:g}' for t in trace)}; "
         f"final panels={last.step_stats.get('panels')} "
         f"node_evals={last.step_stats.get('node_evals')}"
     )
@@ -377,7 +377,7 @@ def cmd_moment(t_lo: float, t_hi: float, sigma: float, j: int, trace: str,
     return report
 
 
-def cmd_divisor(ell: int, a: float, eps: float, ceiling: int) -> Report:
+def cmd_divisor(ell: int, a: float, ceiling: int) -> Report:
     from . import divisors as _divisors
 
     report = Report()
@@ -387,11 +387,10 @@ def cmd_divisor(ell: int, a: float, eps: float, ceiling: int) -> Report:
     Xs = [x for x in decades if x <= ceiling]
     if not Xs or Xs[-1] != ceiling:
         Xs.append(ceiling)
-    rows = _divisors.error_trend(ledger, poly, Xs, eps=eps)
-    col = f"absE_over_X^{0.5 + eps:g}"
+    rows = _divisors.error_trend(ledger, poly, Xs)
     report.add_table(
         "summatory error trend",
-        ["X", "summatory", "main_term", "E", col],
+        ["X", "summatory", "main_term", "E", f"absE_over_X^{_divisors.TREND_EXPONENT:g}"],
         [[r["X"], r["summatory"], r["main_term"], r["E"], r["normalized"]] for r in rows],
     )
     coeff_rows = [["c", k, c] for k, c in enumerate(poly.c_coeffs)]
@@ -422,8 +421,8 @@ def _moment_excess(x, variant):
 
 # Per bound table: title, default grid (start, stop), value function of
 # (x, variant), and its reference check (label, x, reference value), taken
-# without a variant. An exact reference is compared exactly, a decimal one
-# within --tol.
+# without a variant; Report.add_check gates an exact reference exactly and
+# a decimal one within _GATE_TOL.
 _BOUND_TABLES = {
     "excess": ("fourth-moment excess exponent", (4.0, 40.0), _moment_excess,
                ("excess at 16/3", Fraction(16, 3), Fraction(1, 6))),
@@ -437,7 +436,7 @@ _BOUND_TABLES = {
 
 
 def cmd_bounds(table: str, start: Optional[float], stop: Optional[float], count: int,
-               variant: Optional[str], tol: float) -> Report:
+               variant: Optional[str]) -> Report:
     report = Report()
     title, (lo, hi), value, (label, x_ref, ref) = _BOUND_TABLES[table]
     lo = lo if start is None else start
@@ -452,10 +451,7 @@ def cmd_bounds(table: str, start: Optional[float], stop: Optional[float], count:
     values = [float(value(Fraction(x).limit_denominator(10**12), variant)) for x in grid]
     report.add_table(title, ["x", "value"], [[x, v] for x, v in zip(grid, values)])
     computed = value(x_ref, None)
-    if isinstance(ref, Fraction):
-        report.add_check(label, ref, computed, 0.0)
-    else:
-        report.add_check(label, ref, float(computed), tol)
+    report.add_check(label, ref, computed if isinstance(ref, Fraction) else float(computed))
     if table == "excess":
         monotone = all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
         report.notes.append(f"nondecreasing over grid: {'yes' if monotone else 'NO'}")
@@ -483,11 +479,18 @@ def _checked(convert, ok, rule: str):
     return parse
 
 
+def _floats(text: str) -> tuple:
+    """An argparse type: comma-separated numbers, as a tuple of floats."""
+    return tuple(float(t) for t in text.split(","))
+
+
+_floats.__name__ = "comma-separated float"  # "invalid comma-separated float value: ..."
+
+
 _DEPTH = _checked(int, lambda v: 1 <= v <= 12, "in 1..12")
 _POSITIVE = _checked(int, lambda v: v >= 1, "positive")
 # written so that NaN fails too
-_TOL = dict(type=_checked(float, lambda v: 0.0 < v < math.inf, "positive and finite"),
-            default=1e-5, help="tolerance of the gated reference rows (default 1e-5)")
+_SHIFT = _checked(float, lambda v: 0.0 < v < 0.5, "in (0, 1/2)")
 
 # Per subcommand: handler, help text, and its options as flag -> argparse
 # keywords. The handler takes the options as keyword arguments; in name
@@ -496,11 +499,8 @@ _COMMANDS = {
     "thresholds": (cmd_thresholds, "moment threshold sequence and closed-form rows", {
         "--depth": dict(type=_DEPTH, default=11,
                         help="last weight j of the sequence c_j (1..12, default 11)"),
-        "--tol": _TOL,
     }),
-    "shift-ranges": (cmd_shift_ranges, "admissible shift ranges by weight", {
-        "--tol": _TOL,
-    }),
+    "shift-ranges": (cmd_shift_ranges, "admissible shift ranges by weight", {}),
     "pairs": (cmd_pairs, "exponent-pair search for the abscissa bound", {
         "--j": dict(type=int, default=2, help="moment weight"),
         "--depth": dict(type=_DEPTH, default=11,
@@ -511,14 +511,14 @@ _COMMANDS = {
         "--t-hi": dict(type=float, default=1000.0),
         "--sigma": dict(type=float, default=0.75),
         "--j": dict(type=int, default=1),
-        "--trace": dict(default="1e-3", help="comma-separated decreasing relative tolerances, "
+        "--trace": dict(type=_floats, default=(1e-3,),
+                        help="comma-separated decreasing relative tolerances, "
                         "one sample each (default 1e-3)"),
         "--ceiling": dict(type=_POSITIVE, default=200_000, help="panel budget (default 200000)"),
     }),
     "divisor": (cmd_divisor, "weighted divisor tables, main terms, error trend", {
         "--ell": dict(type=int, default=2),
-        "--a": dict(type=float, default=0.35),
-        "--eps": dict(type=float, default=0.05, help="trend column normalizes |E| by X^(1/2+eps)"),
+        "--a": dict(type=_SHIFT, default=0.35, help="shift, 0 < a < 1/2 (default 0.35)"),
         "--ceiling": dict(type=_POSITIVE, default=10**6, help="sieve length (default 1000000)"),
     }),
     "bounds": (cmd_bounds, "grids of the piecewise bound tables", {
@@ -528,7 +528,6 @@ _COMMANDS = {
         "--count": dict(type=int, default=49),
         "--variant": dict(choices=["ivic-ouellet", "ford"],
                           help="published variant of the order table or the pointwise curve"),
-        "--tol": _TOL,
     }),
 }
 

@@ -30,6 +30,7 @@ from .zetanum import _MP_LOCK, zeta_eval
 N_CEILING = 50_000_000
 CONTOUR_NODES = 32
 CONTOUR_REL_TOL = 1.0e-8
+TREND_EXPONENT = 0.55  # error_trend's column |E|/X^(1/2+eps), at eps = 0.05
 
 _DPS = 30  # working digits of the main terms; 60 round to the same float64s
 
@@ -260,16 +261,16 @@ def main_terms(ell: int, a) -> MainTermPolynomial:
     checks them; any coefficient disagreeing by more than CONTOUR_REL_TOL
     relative raises PrecisionError naming ell, a, r and the discrepancy.
     More digits do not help there: at ell = 40, a = 0.35 the check fails
-    at 60 digits as at 30. The shift must satisfy 0 < a < 1/2; a = 0
-    merges the two poles, and main terms on that route are ROADMAP item 1.
+    at 60 digits as at 30. The shift must satisfy 0 < a < 1/2; at a = 0
+    the two poles merge into one that this construction does not cover.
     """
     if not (isinstance(ell, int) and ell >= 1):
         raise DomainError(f"ell must be a positive integer, got {ell!r}")
     a_f = float(a)
     if not (0.0 < a_f < 0.5):
         raise DomainError(
-            f"main_terms takes a shift 0 < a < 1/2, got {a}; a = 0 merges the "
-            "two poles, and main terms there are ROADMAP item 1"
+            f"main_terms takes a shift 0 < a < 1/2, got {a}; at a = 0 the two "
+            "poles merge into one"
         )
     r = min(a_f, 1.0 - a_f, 0.25) / 4.0
     coeffs = []
@@ -429,12 +430,9 @@ def error_trend(
     ledger: DivisorLedger,
     poly: MainTermPolynomial,
     Xs: Sequence[float],
-    eps: float = 0.05,
 ) -> list[dict]:
-    """Rows (X, summatory, main_term, E, |E|/X^(1/2+eps)) for each X, with
-    E equal to error_term at X and the same validation."""
-    if not math.isfinite(eps):
-        raise DomainError(f"eps must be finite, got {eps!r}")
+    """Rows (X, summatory, main_term, E, |E|/X^TREND_EXPONENT) for each X,
+    with E equal to error_term at X and the same validation."""
     rows = []
     for X in Xs:
         S, M = _summatory_and_main(ledger, poly, X)
@@ -445,7 +443,7 @@ def error_trend(
                 "summatory": S,
                 "main_term": M,
                 "E": E,
-                "normalized": abs(E) / float(X) ** (0.5 + eps),
+                "normalized": abs(E) / float(X) ** TREND_EXPONENT,
             }
         )
     return rows

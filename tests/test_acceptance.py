@@ -368,7 +368,7 @@ def test_criterion_11_error_trend():
     ledger = _big_ledger()
     poly = main_terms(2, 0.35)
     Xs = [10**3, 10**4, 10**5, 10**6]
-    rows = error_trend(ledger, poly, Xs, eps=0.05)
+    rows = error_trend(ledger, poly, Xs)
     rows_ok = all(r["E"] == error_term(ledger, poly, X) for r, X in zip(rows, Xs))
     stats = [_window_stats(ledger, poly, X) for X in Xs]
     rms = [r for r, _ in stats]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import zetalab
+from zetalab import cli
 from zetalab.cli import RunConfig, main
 
 
@@ -27,15 +28,15 @@ def _run(capsys, argv):
 
 
 def test_option_validation(capsys):
-    # each check sits on its option and names the flag; an infinite --tol
-    # passed every gated row as "ok", so it turned the gate off
+    # each check sits on its option and names the flag; a shift outside
+    # (0, 1/2) is rejected there, before the sieve runs
     for argv, flag in (
         (["thresholds", "--depth", "13"], "--depth"),
         (["pairs", "--depth", "0"], "--depth"),
         (["bounds", "--variant", "bogus"], "--variant"),
-        (["shift-ranges", "--tol", "0"], "--tol"),
-        (["bounds", "--tol", "nan"], "--tol"),
-        (["thresholds", "--tol", "inf"], "--tol"),
+        (["divisor", "--a", "0"], "--a"),
+        (["divisor", "--a", "0.5"], "--a"),
+        (["divisor", "--a", "nan"], "--a"),
         (["divisor", "--ceiling", "0"], "--ceiling"),
         (["moment", "--ceiling", "-1"], "--ceiling"),
         (["thresholds", "--format", "xml"], "--format"),
@@ -46,25 +47,30 @@ def test_option_validation(capsys):
 
 
 def test_config_hash_semantics(capsys):
-    options = (("depth", 11), ("tol", 1e-5))
+    options = (("depth", 11),)
     base = RunConfig("thresholds", options)
     assert re.fullmatch(r"[0-9a-f]{8}", base.config_hash())
     assert base.config_hash() == RunConfig("thresholds", options).config_hash()
-    assert base.config_hash() != RunConfig("thresholds", (("depth", 10), ("tol", 1e-5))).config_hash()
+    assert base.config_hash() != RunConfig("thresholds", (("depth", 10),)).config_hash()
     assert base.config_hash() != RunConfig("pairs", options).config_hash()
     # neither the output format nor the directory perturbs the hash
     assert base.config_hash() == RunConfig("thresholds", options, "csv", "/tmp/x").config_hash()
 
     # through the CLI: a command's hash moves with its own options only,
-    # and an option given at its default leaves it as it is
+    # and an option given at its default, in any spelling, leaves it as it is
     def cli_hash(argv):
         rc, out, _ = _run(capsys, argv)
         assert rc == 0
         return re.search(r"hash=([0-9a-f]{8})", out).group(1)
 
+    # a command without options shows the hash alone
+    assert re.search(r"^configuration: hash=[0-9a-f]{8}$", _run(capsys, ["shift-ranges"])[1], re.M)
     default = cli_hash(["thresholds"])
-    assert cli_hash(["thresholds", "--depth", "11", "--tol", "1e-5"]) == default
-    assert cli_hash(["thresholds", "--tol", "1e-4"]) != default
+    assert cli_hash(["thresholds", "--depth", "11"]) == default
+    assert cli_hash(["thresholds", "--depth", "10"]) != default
+    moment = cli_hash(["moment", "--t-hi", "50"])
+    assert cli_hash(["moment", "--t-hi", "50", "--trace", "0.001"]) == moment
+    assert cli_hash(["moment", "--t-hi", "50", "--trace", "1e-2,1e-3"]) != moment
 
 
 # The hash covers the command and its own options, in name order. It names
@@ -72,13 +78,13 @@ def test_config_hash_semantics(capsys):
 # only when one of the command's options is added or removed; each such
 # change re-pins that command's values once.
 _PINNED_HASHES = {
-    "thresholds": "d901249a",
-    "shift-ranges": "50ab72d5",
-    "bounds": "c46d58b6",
-    "bounds --table pointwise --variant ford --count 9 --start 0.72 --stop 0.9": "7a6727e9",
+    "thresholds": "303402bb",
+    "shift-ranges": "0d4e6813",
+    "bounds": "a81e377a",
+    "bounds --table pointwise --variant ford --count 9 --start 0.72 --stop 0.9": "67b63775",
     "pairs --j 2 --depth 5": "fb2261c0",
-    "moment --t-hi 200 --sigma 0.8 --j 2": "0e7157c2",
-    "divisor --ell 1 --a 0.3 --ceiling 20000": "7bc61fda",
+    "moment --t-hi 200 --sigma 0.8 --j 2": "561d414e",
+    "divisor --ell 1 --a 0.3 --ceiling 20000": "ba41a246",
 }
 
 
@@ -94,34 +100,34 @@ def test_config_hash_pinned(capsys, command):
 # that go through libm or mpmath (moment, divisor, --variant ford) are out.
 _PINNED_REPORTS = {
     "thresholds": {
-        "markdown": "03ed6424c8d2c0c405100c7901571218f4bbf1258793f45c5c48532169b2b0b0",
+        "markdown": "55c88fc8b8170103fd9fe075be9689a96c94c67f2a582916f40940354408adc0",
         "csv": "94578deb85a4d61e67c4f3e4245c74831af618bfb138c5fb6e974ce8bb969740",
-        "json": "7efea2050bd1a6e977cff6bb10ed1eedc46084c906c99c18c57bd7296974c7e3",
+        "json": "a67700b7141d6272ae7c44ea37b21fbbbe2da7d989850fd760ed98ac02c667d0",
     },
     "shift-ranges": {
-        "markdown": "b8a90f1527fa2978250aa937b496e494445e58f2f2803de847ab86e442eb1d75",
+        "markdown": "9ee2c26e89df47eef09d2210985c9d30abefc19ce5fa91765672b18d17204e58",
         "csv": "8a12fcf08cfde7ec488dbdff1b1d9ec922d802d386ff8027659d235cc1456862",
-        "json": "0ed42c61bebe04adc0a309d277889d5b72638c5ae488cbff246c678577865098",
+        "json": "baf6739404b0b2d7179f524176ff9418f1b8fa278fd61676e62d541bb8a6d11e",
     },
     "pairs --j 2 --depth 8": {
         "markdown": "7565034b12e65a6eab011ac515a90ce54bb323e0e55b7a91d6ee83c486ba7851",
         "csv": "c203a0db8b49b657078058eb31afbf9497937f805bd01affd454cf62caa9d75e",
-        "json": "4f5303e2ae9510826dc7659b2e71e6986a39b2e98fcf7615943c5fb0450d2e65",
+        "json": "b22d9b85108de7178b3c56f4d70ef813daea569b2a2131388efda745561cb360",
     },
     "bounds --table excess": {
-        "markdown": "654923766dcfd2aaa1a47aa7a2516c36d0f12681e82510204367b5cd5d057b5a",
+        "markdown": "5cee4a51ed55f2e3ca3d0b0802b2541a649aba8d0e1c393285016fb2d4deaca3",
         "csv": "5771bb26c3a249e935c2c95155e25a21a5348840e6346d62257a45d5a8d89586",
-        "json": "123a9c79b66d2278ad5545e4332e3859dedf3ea0d84914ecf91ac61704b1ae62",
+        "json": "d941ec8599bfc3ddb15f06329a4fc6f72f0489d6f866dbb62fd918013746be51",
     },
     "bounds --table order": {
-        "markdown": "696f510d8ed9260f6b857f990597f30c6dc1dce17d053c051924856a5fdb421d",
+        "markdown": "a558644edf134fdc2d8381ec393d3bfcfefc97669b7fa92c520df0bb0fe6ad81",
         "csv": "941947bfd970a7bb11fbb03120618f3bb51b9d1fa21ec6a2d43ce5b28f038118",
-        "json": "51dff8034e843cb94353ffa577e201e8113d75fdcf23f93a4f13b9001dc2fab1",
+        "json": "1d37fe20b7164356b6ffee1e454f6fd57e8236ecc96e99e6049883c8d2d3a61c",
     },
     "bounds --table pointwise": {
-        "markdown": "fc48c659737440252804a90b8f5ef99c5d7ea6e967fa0b4a48b1df2e62db6e9e",
+        "markdown": "13597a287272fe947ffb7d3dddd05dbd39e103bcf26173ca79a3eb98f5e282d8",
         "csv": "c5064a1b8e49367d39b469e48f68cb7fcbb8a37bd7966fb30ae07eacedea484c",
-        "json": "9086df9c2888893138686e06632cb945cd3a30755d53af462086a0cacb25be51",
+        "json": "a5590217b8314e9677e8a26ba66b2ff7dfbc846ff2713444f015e0b1b43830fe",
     },
     "bounds --table order --variant ivic-ouellet": {
         "csv": "f4eda8289e1c276b347e2c2558aeb108d418d2b4d2cf4dd582e10bd67c33e570",
@@ -157,11 +163,11 @@ def test_thresholds_json_schema(capsys):
     rc, out, _ = _run(capsys, ["thresholds", "--format", "json"])
     assert rc == 0
     doc = json.loads(out)
-    assert doc["schema"] == "zetalab.report.v2"
+    assert doc["schema"] == "zetalab.report.v3"
     assert doc["command"] == "thresholds"
     assert re.fullmatch(r"[0-9a-f]{8}", doc["config"]["hash"])
-    assert doc["config"]["depth"] == 11 and doc["config"]["tol"] == 1e-5
-    assert set(doc["config"]) == {"depth", "tol", "hash"}
+    assert doc["config"]["depth"] == 11
+    assert set(doc["config"]) == {"depth", "hash"}
     assert doc["tables"] and doc["checks"] and doc["notes"]
     ungated = [c for c in doc["checks"] if not c["gated"]]
     assert len(ungated) == 1
@@ -204,9 +210,14 @@ def test_global_flags_same_before_and_after_subcommand(capsys, tmp_path, flags, 
     assert before == after
 
 
-# (subcommand, option) pairs that no handler reads, and moment's --tol,
-# which --trace replaces; each exits 1 as an unknown option
+# (subcommand, option) pairs that no handler reads, moment's --tol, which
+# --trace replaces, and the removed --tol gate and divisor --eps column
+# exponent, both now constants; each exits 1 as an unknown option
 _FOREIGN_OPTIONS = [
+    ["thresholds", "--tol", "1e-4"],
+    ["shift-ranges", "--tol", "1e-9"],
+    ["bounds", "--tol", "1"],
+    ["divisor", "--eps", "0.05"],
     ["thresholds", "--variant", "ford"],
     ["thresholds", "--ceiling", "5"],
     ["shift-ranges", "--depth", "10"],
@@ -266,15 +277,6 @@ def test_divisor_trend_column(capsys):
     assert "contour diagnostics" in out
 
 
-def test_divisor_eps_flag(capsys):
-    rc, out, _ = _run(
-        capsys,
-        ["divisor", "--ell", "1", "--a", "0.3", "--ceiling", "20000", "--eps", "0.01"],
-    )
-    assert rc == 0
-    assert "absE_over_X^0.51" in out
-
-
 def test_bounds_tables(capsys):
     for table in ("excess", "order", "pointwise"):
         rc, out, _ = _run(capsys, ["bounds", "--table", table, "--count", "9"])
@@ -309,8 +311,8 @@ def test_out_reruns_byte_identical(tmp_path, capsys):
 
 
 def test_out_hash_tracks_config(tmp_path, capsys):
-    _run(capsys, ["shift-ranges", "--out", str(tmp_path), "--format", "csv"])
-    _run(capsys, ["shift-ranges", "--out", str(tmp_path), "--format", "csv", "--tol", "1e-4"])
+    _run(capsys, ["thresholds", "--out", str(tmp_path), "--format", "csv"])
+    _run(capsys, ["thresholds", "--out", str(tmp_path), "--format", "csv", "--depth", "10"])
     names = sorted(p.name for p in tmp_path.iterdir())
     assert len(names) == 2  # distinct hashes, no overwrite
     assert all(name.endswith(".csv") for name in names)
@@ -329,18 +331,19 @@ def test_exit_validation_error(capsys):
         assert "error" in err
 
 
-def test_exit_gate_failure(capsys):
-    # shift-range references are printed to six decimals, so a 1e-9 gate
-    # must trip on the rounding gap
-    rc, _, err = _run(capsys, ["shift-ranges", "--tol", "1e-9"])
+def test_exit_gate_failure(capsys, monkeypatch):
+    # a reference decimal off by 1e-3 misses the 1e-5 gate
+    monkeypatch.setitem(cli._REF_SHIFT, (3, 4), 0.4054)
+    rc, out, err = _run(capsys, ["shift-ranges"])
     assert rc == 2
+    assert "| a_low (ell = 3-4) | 0.4054 |" in out and "MISMATCH" in out
     assert "gated reference checks failed" in err
 
 
 def test_exit_trace_not_a_number(capsys):
     rc, out, err = _run(capsys, ["moment", "--t-hi", "100", "--trace", "1e-2,abc"])
     assert rc == 1 and out == ""
-    assert err.startswith("error: ") and "1e-2,abc" in err
+    assert err.startswith("error: argument --trace") and "1e-2,abc" in err
 
 
 def test_exit_precision_error_alone_on_stderr():
@@ -384,13 +387,6 @@ def test_exit_bounds_non_finite_grid(capsys, bound):
     rc, out, err = _run(capsys, ["bounds", "--table", "order", *bound])
     assert rc == 1 and out == ""
     assert err.startswith("error: grid needs a finite start and stop")
-
-
-@pytest.mark.parametrize("eps", ["nan", "inf"])
-def test_exit_divisor_non_finite_eps(capsys, eps):
-    rc, out, err = _run(capsys, ["divisor", "--ceiling", "20000", "--eps", eps])
-    assert rc == 1 and out == ""
-    assert err.startswith("error: eps must be finite")
 
 
 def test_exit_moment_divergent_at_sigma_one(capsys):

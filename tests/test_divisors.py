@@ -274,7 +274,7 @@ def test_main_terms_zeta_eval_budget(monkeypatch):
 
 
 def test_main_terms_validation():
-    with pytest.raises(DomainError, match=r"0 < a < 1/2, got 0.0; .*ROADMAP item 1"):
+    with pytest.raises(DomainError, match=r"0 < a < 1/2, got 0.0; at a = 0 the two poles merge"):
         main_terms(1, 0.0)
     with pytest.raises(DomainError):
         main_terms(1, 0.6)
@@ -423,7 +423,3 @@ def test_error_trend_validation(ledger_2_035, poly_2_035, poly_1_04):
         error_trend(ledger_2_035, poly_2_035, [0.0])
     with pytest.raises(DomainError):
         error_trend(ledger_2_035, poly_2_035, [10**5 + 1])
-    # a non-finite eps would print a NaN or all-zero trend column
-    for eps in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(DomainError, match="eps must be finite"):
-            error_trend(ledger_2_035, poly_2_035, [10**3], eps=eps)
