@@ -1,6 +1,7 @@
-"""The hot kernels against independent routes: mpmath zeta, fsum, divisor
-convolution; the quadrature rule's constants against numpy's Gauss-Legendre
-rule and exact monomial integrals."""
+"""The hot kernels against independent routes: mpmath zeta, the two zeta
+line routes against each other, fsum, divisor convolution; the quadrature
+rule's constants against numpy's Gauss-Legendre rule and exact monomial
+integrals."""
 
 import math
 
@@ -51,11 +52,93 @@ def test_line_zeta_error_bound_up_to_t_ceiling():
 
 
 def test_line_zeta_error_bound_mixed_batch():
-    # one batch over [1e4, 1e5]: T_CEILING sets the truncation N for the
-    # smaller t too, so their tail terms are far from the ones a batch of
-    # their own would take
+    # one batch over [1e4, 1e5], so on the Riemann-Siegel route: m changes
+    # from node to node and the phase matrix is masked (a batch of
+    # Euler-Maclaurin at one truncation N for all t is checked against it
+    # in test_riemann_siegel_matches_euler_maclaurin)
     rng = np.random.default_rng(13)
     _assert_rows_within_bound(np.concatenate([[1.0e4], 10.0 ** rng.uniform(4, 5, 4), [T_CEILING]]))
+
+
+RS_SIGMAS = [0.5, 0.6, 0.75, 0.9, 1.0]
+
+
+def _within_line_bound(got, ref, ts):
+    return np.all(np.isfinite(got)) and np.all(np.abs(got - ref) <= 1e-12 + 1e-14 * ts)
+
+
+def _rs_points():
+    # three seeded t per half-decade from RS_T_MIN to T_CEILING (the last
+    # one partial), and T_CEILING
+    rng = np.random.default_rng(19)
+    edges = np.append(np.arange(math.log10(_kernels.RS_T_MIN), 5.0, 0.5), math.log10(T_CEILING))
+    ts = [10.0 ** rng.uniform(lo, hi, 3) for lo, hi in zip(edges, edges[1:])]
+    return np.append(np.concatenate(ts), T_CEILING)
+
+
+def test_riemann_siegel_matches_euler_maclaurin():
+    # the two routes are independent algorithms; a batch at or above
+    # RS_T_MIN goes to Riemann-Siegel, and Euler-Maclaurin is called alone
+    ts = _rs_points()
+    got = _kernels.line_zeta(RS_SIGMAS, ts)
+    assert np.array_equal(got, _kernels._riemann_siegel(np.array(RS_SIGMAS), ts))
+    ref = _kernels._euler_maclaurin(np.array(RS_SIGMAS), ts)
+    assert _within_line_bound(got, ref, ts)
+
+
+def test_riemann_siegel_chi_matches_chi_factor():
+    # Stirling's series in float64 against mpmath's log-Gamma; the phase
+    # t/2 log(t/2pi) is good to about one ulp of log f times t/2
+    ts = _rs_points()
+    for sigma in RS_SIGMAS:
+        col = np.array([[sigma]])
+        got = np.exp(_kernels._log_chi(col, ts, _kernels._theta0(ts)))[0]
+        for value, t in zip(got, ts):
+            ref = complex(zetanum.chi_factor(mpc(sigma, t)))
+            assert abs(value - ref) <= (1e-15 + 1e-16 * t) * abs(ref), (sigma, t)
+
+
+def _node_with_fraction(m, q):
+    # a float t at which the route's own sqrt(t / 2 pi) is exactly m + q
+    t = 2 * math.pi * (m + q) ** 2
+    for step in range(200):
+        for cand in (t + step * math.ulp(t), t - step * math.ulp(t)):
+            if np.sqrt(np.float64(cand) / (2 * math.pi)) - m == q:
+                return cand
+    raise AssertionError(f"no float t with fraction {q} at m = {m}")
+
+
+def test_riemann_siegel_corrections_at_their_edges():
+    # p = a - m at 1/4 and 3/4, where the quotient form of the corrections
+    # is 0/0; a within 1e-9 of an integer, where m steps and the corrections
+    # must take over the term that enters or leaves the sum; and one batch
+    # over several m
+    m_low = math.ceil(math.sqrt(_kernels.RS_T_MIN / (2 * math.pi)))
+    quarters = np.array([_node_with_fraction(m, q) for m in (m_low, 60, 125) for q in (0.25, 0.75)])
+    steps = np.array([2 * math.pi * (m + d) ** 2 for m in (m_low + 1, 80, 126) for d in (-5e-10, 5e-10)])
+    spread = np.linspace(_kernels.RS_T_MIN, 2 * _kernels.RS_T_MIN, 31)
+    assert len(set(np.floor(np.sqrt(spread / (2 * math.pi))))) >= 5
+    for ts in (quarters, steps, spread):
+        assert ts.min() >= _kernels.RS_T_MIN
+        got = _kernels.line_zeta(RS_SIGMAS, ts)
+        assert _within_line_bound(got, _kernels._euler_maclaurin(np.array(RS_SIGMAS), ts), ts)
+
+
+def test_riemann_siegel_coefficient_tables():
+    # the float literals are the Taylor coefficients of Psi(1/2 + x) and F(z)
+    # rounded to float64: here from mpmath's numerical Taylor expansion of
+    # each function's quotient form at 60 digits
+    from mpmath import cos, exp, mpf, pi, sqrt, taylor
+
+    with workdps(60):
+        psi = taylor(lambda x: cos(2 * pi * (x * x - mpf(5) / 16)) / cos(2 * pi * (x + mpf(1) / 2)),
+                     0, 2 * _kernels._PSI.size - 2)
+        f = taylor(lambda z: (exp(pi * 1j * (z * z / 2 + mpf(3) / 8)) - 1j * sqrt(2) * cos(pi * z / 2))
+                   / (2 * cos(pi * z)), 0, 2 * _kernels._F.size - 2)
+        psi = np.array([float(c) for c in psi[::2]])
+        f = np.array([complex(c) for c in f[::2]])
+    assert np.allclose(_kernels._PSI, psi, rtol=1e-15, atol=0)
+    assert np.allclose(_kernels._F, f, rtol=1e-15, atol=0)
 
 
 def test_gauss_kronrod_constants():

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from zetalab import moments
+from zetalab import _kernels, moments
 from zetalab.errors import CeilingError, DomainError, PrecisionError
 
 
@@ -95,6 +95,8 @@ def _reference_moments(t_lo, t_hi, lines):
         (1.0, 60.0, [(1.0, 1)]),  # near the pole at sigma = 1
         (1.0e4, 1.0e4 + 15.0, [(0.5, 0), (1.0, 2)]),
         (moments.T_CEILING - 10.0, moments.T_CEILING, [(0.75, 2), (0.5, 1)]),
+        # straddles the switch from Euler-Maclaurin to Riemann-Siegel nodes
+        (_kernels.RS_T_MIN - 10.0, _kernels.RS_T_MIN + 10.0, [(0.75, 1), (0.5, 0)]),
     ],
 )
 def test_error_estimate_covers_true_error(t_lo, t_hi, lines):
