@@ -41,20 +41,19 @@ def line_zeta(sigmas, ts: np.ndarray) -> np.ndarray:
     batch hits the pole.
 
     Riemann-Siegel: floor(sqrt(t / 2 pi)) terms per node (at most 126 up to
-    T_CEILING), chi(s) from Stirling's series, and correction terms in the
-    fractional part of sqrt(t / 2 pi), as Taylor series (never the 0/0
-    quotient): Gabcke's C_0..C_4 on sigma = 1/2, Arias de Reyna's terms off
-    it. Their counts come from the explicit remainder bounds at RS_T_MIN.
-    Measured costs for two lines of 21 nodes: Riemann-Siegel 0.3 to 0.55 ms
-    at any t, Euler-Maclaurin 0.38 ms at t = 1e3, 3.2 ms at 1e4 and 29 ms
-    at 1e5, so the routes cross near t = 1000; RS_T_MIN sits higher, at the
-    least round t where C_0..C_4 meet a quarter of the error bound below.
+    T_CEILING), chi(s) from Stirling's series, and Arias de Reyna's
+    correction terms for every sigma, as Taylor series in the fractional
+    part of sqrt(t / 2 pi) (never the 0/0 quotient). Their count, 8, comes
+    from his explicit remainder bound at RS_T_MIN. Measured costs for two
+    lines of 21 nodes: Riemann-Siegel 0.25 to 0.5 ms at any t,
+    Euler-Maclaurin 0.43 ms at t = 1e3, 2.2 ms at 1e4 and 27 ms at 1e5, so
+    the routes cross near t = 1000; RS_T_MIN sits higher (see there).
 
     For sigma in [1/2, 1] and t up to T_CEILING = 1e5 the absolute error
     stays below 1e-12 + 1e-14 * t on both routes: the rounding of the phases
     t log n grows with t. Against mpmath.zeta, at most 2.7e-15 * t for
     Euler-Maclaurin (25 batched t in [1e2, 1e5], three lines) and
-    1.5e-15 * t for Riemann-Siegel (47 batched t in [3e3, 1e5], five lines
+    1.3e-15 * t for Riemann-Siegel (47 batched t in [3e3, 1e5], five lines
     from 1/2 to 1), whose truncation is bounded by a quarter of the bound.
     """
     sig = np.asarray(sigmas, dtype=np.float64)
@@ -88,28 +87,16 @@ def _euler_maclaurin(sig: np.ndarray, ts: np.ndarray) -> np.ndarray:
 #
 # With a = sqrt(t / 2 pi), m = floor(a) and s = sigma + i t,
 #   zeta(s) = sum_{n<=m} n^-s + chi(s) sum_{n<=m} n^(s-1) + (corrections),
-# where the corrections are series in 1/a whose terms are functions of the
-# fractional part a - m. Their coefficient tables below are float64
-# roundings of 80-digit mpmath Taylor coefficients (tests/test_kernels.py
-# derives them again); degrees are cut where the omitted tail stays below
-# 1e-17 in every correction term used from RS_T_MIN on.
-
-# Psi(1/2 + x) = sum_j _PSI[j] x^(2j), for the Psi(p) =
-# cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p) of the classical C_k(p). Psi is
-# entire: its quotient form is 0/0 at p = 1/4 and 3/4 and is never used.
-_PSI = np.array([
-    0.3826834323650898, 1.7489618723100817, 2.118025207685496,
-    -0.8707216670511481, -3.4733112243465167, -1.6626947308999325,
-    1.216731288919232, 1.3014304161007977, 0.03051102182736167,
-    -0.3755803051545095, -0.1085784416564066, 0.051832902999549624,
-    0.029999480619902277, -0.0022759396706125644, -0.004382647416580339,
-    -0.0004064230183729847, 0.0004006097785422114, 8.971057991388841e-05,
-    -2.3025650027239108e-05, -9.380006601906792e-06, 6.323514947609108e-07,
-    6.551022819231502e-07, 2.210523745552697e-08, -3.322316176445629e-08])
+# where the corrections are Arias de Reyna's (2011) series in 1/a, on and
+# off the line, whose terms are functions of the fractional part a - m.
 
 # F(z) = sum_j _F[j] z^(2j), for Arias de Reyna's
 # F(z) = (exp(pi i (z^2/2 + 3/8)) - i sqrt(2) cos(pi z / 2)) / (2 cos(pi z)),
-# also entire (Arias de Reyna 2011, I, eq. 47; mpmath's rszeta.coef).
+# which is entire: the quotient form is 0/0 at z = +-1/2 and is never used
+# (Arias de Reyna 2011, I, eq. 47; mpmath's rszeta.coef). The table holds
+# float64 roundings of 80-digit mpmath Taylor coefficients
+# (tests/test_kernels.py derives them again), cut where the omitted tail
+# stays below 1e-17 in every correction term used from RS_T_MIN on.
 _F = np.array([
     0.1913417161825449 - 0.24516701493090415j, 0.21862023403876021 - 0.036933834884962956j,
     0.06618828774017176 + 0.06353439385614602j, -0.006802513023837094 + 0.027223912663570066j,
@@ -125,22 +112,11 @@ _F = np.array([
     6.282686358510708e-22 + 4.354432465678006e-21j, -2.360647625071713e-22 + 8.042677010875067e-23j,
     -6.63453468151981e-24 - 1.187404814328495e-23j, 5.526719997560709e-25 - 4.533873522499421e-25j])
 
-# Gabcke's C_0..C_4 on sigma = 1/2 as sums of c * Psi^(r)(p) / pi^(2q),
-# one (c, r, q) per summand, and his explicit remainder bounds for t >= 200
-# (Gabcke 1979): Z(t) with C_0..C_K is within
-# _GABCKE_BOUND[K] * t^(-(2K+3)/4) of the true value.
-_GABCKE_TERMS = (
-    ((1.0, 0, 0),),
-    ((-1 / 96, 3, 1),),
-    ((1 / 64, 2, 1), (1 / 18432, 6, 2)),
-    ((-1 / 64, 1, 1), (-1 / 3840, 5, 2), (-1 / 5308416, 9, 3)),
-    ((1 / 128, 0, 1), (19 / 24576, 4, 2), (11 / 5898240, 8, 3), (1 / 2038431744, 12, 4)),
-)
-_GABCKE_BOUND = (0.127, 0.053, 0.011, 0.031, 0.017)
-
-# The routes cost the same near t = 1000 (see line_zeta). RS_T_MIN is the
-# least round t above that where C_0..C_4 meet the budget below, and above
-# 1000, so the CLI's default window (t_hi = 1000) stays on Euler-Maclaurin.
+# The routes cost the same near t = 1000 (see line_zeta). RS_T_MIN sits
+# above that, so the CLI's default window (t_hi = 1000) stays on
+# Euler-Maclaurin; lowering it toward 1000 would save under 0.5 ms per
+# two-line call in [1e3, 3e3], where no benchmark workload runs, and would
+# take 10 correction terms instead of 8.
 RS_T_MIN = 3000.0
 # Truncation budget: a quarter of the documented error bound at RS_T_MIN;
 # rounding takes the rest. Every remainder bound below falls with t faster
@@ -151,7 +127,7 @@ _RS_A_MIN = math.sqrt(RS_T_MIN / (2 * math.pi))
 
 
 def _arias_de_reyna_bound(L: int, a: float) -> float:
-    """Bound on the error of the off-line corrections cut after L terms.
+    """Bound on the error of the corrections cut after L terms.
 
     The bound is Arias de Reyna's (2011) on the tail of R(s) after L
     terms, in the form mpmath's Rzeta_simul applies it:
@@ -165,10 +141,7 @@ def _arias_de_reyna_bound(L: int, a: float) -> float:
     return 2.01 * 3 * (3 / (math.sqrt(2) * math.pi)) * math.gamma(L / 2) / (2 * a) ** L / math.sqrt(a)
 
 
-_RS_ON_LINE_TERMS = next(
-    k + 1 for k, c in enumerate(_GABCKE_BOUND) if c * RS_T_MIN ** (-(2 * k + 3) / 4) <= _RS_BUDGET
-)
-_RS_OFF_LINE_TERMS = next(L for L in range(2, 40) if _arias_de_reyna_bound(L, _RS_A_MIN) <= _RS_BUDGET)
+_RS_TERMS = next(L for L in range(2, 40) if _arias_de_reyna_bound(L, _RS_A_MIN) <= _RS_BUDGET)
 
 
 def _derivatives(coeffs: np.ndarray, count: int) -> np.ndarray:
@@ -189,27 +162,19 @@ def _even_series(even: np.ndarray) -> np.ndarray:
     return full
 
 
-_PSI_DERIVS = _derivatives(_even_series(_PSI), 13)
-# row k: power series of C_k(1/2 + x) in x
-_GABCKE_SERIES = np.array(
-    [
-        sum(c / math.pi ** (2 * q) * _PSI_DERIVS[r] for c, r, q in terms)
-        for terms in _GABCKE_TERMS[:_RS_ON_LINE_TERMS]
-    ]
-)
 # row r: power series of F^(r)(z), r = 0..3(L - 1)
-_F_DERIVS = _derivatives(_even_series(_F), 3 * _RS_OFF_LINE_TERMS - 2)
+_F_DERIVS = _derivatives(_even_series(_F), 3 * _RS_TERMS - 2)
 
 
 @functools.lru_cache(maxsize=64)
 def _arias_de_reyna_matrix(sigma: float) -> np.ndarray:
-    """Row k maps the F^(r)(p) to the k-th off-line correction term.
+    """Row k maps the F^(r)(p) to the k-th correction term.
 
     C_k(sigma, p) = sum_l d_k^l(sigma) F^(3k-2l)(p) / (pi^(2k-l) (2i)^l),
     with the d_k^l from Arias de Reyna's recursion (II, 3.17; mpmath's
     Rzeta_simul). Read-only, since the cache shares it.
     """
-    L = _RS_OFF_LINE_TERMS
+    L = _RS_TERMS
     d = [[1.0]]
     for n in range(1, L):
         prev = d[-1]
@@ -261,8 +226,11 @@ def _two_prod(a, b):
 def _theta0(ts: np.ndarray) -> np.ndarray:
     """t/2 log(t/2pi) - t/2 - pi/8 modulo 2 pi, for t > 0.
 
-    The value is about 5e5 at t = 1e5; in plain float64 its rounding
-    (~1e-10) would be the largest error of the route. Here
+    The value is about 5e5 at t = 1e5, and in plain float64 its rounding
+    (up to 1.4e-10) is a phase error of the whole chi(s) sum_n n^(s-1)
+    term, scaled by that sum, which can be far above 1: on 20,000 sampled
+    t in [3e3, 1e5] it moved the route by up to 2.3e-14 * t, over the
+    documented bound of line_zeta. Here
     log(t/2pi) = (e log 2 - log 2pi) + log f for t = f 2^e with f in
     [1/sqrt 2, sqrt 2): the first part is exact in the high halves of the
     constants, both products with t/2 are exact (Dekker) and the reduction
@@ -325,28 +293,17 @@ def _riemann_siegel(sig: np.ndarray, ts: np.ndarray) -> np.ndarray:
     log_chi = _log_chi(col, ts, th0)
     chi = np.exp(log_chi)
     out = (c[:R] - 1j * s[:R]) + chi * (c[R:] + 1j * s[R:])
-    sign = np.where(m % 2 == 1, 1.0, -1.0)  # (-1)^(m-1)
-    on_line = sig == 0.5
-    if on_line.any():
-        # Gabcke: Z(t) gains (-1)^(m-1) a^-1/2 sum_k C_k(a - m) a^-k, and
-        # zeta(1/2 + it) = exp(-i theta(t)) Z(t) with chi = exp(-2i theta)
-        powers = np.vander(a - m - 0.5, _GABCKE_SERIES.shape[1], increasing=True)
-        terms = (_GABCKE_SERIES @ powers.T) * a ** -np.arange(_RS_ON_LINE_TERMS)[:, None]
-        rot = np.exp(0.5 * log_chi[on_line])
-        out[on_line] += rot * (sign * a**-0.5 * terms.sum(axis=0))
-    if not on_line.all():
-        # Arias de Reyna: zeta(s) = R(s) + chi(s) conj(R(1 - conj s)), each R
-        # gaining (-1)^(m-1) U a^-sigma sum_k C_k(sigma, p) a^-k, with
-        # p = 1 - 2(a - m) and U = exp(-i theta0)
-        powers = np.vander(1 - 2 * (a - m), _F_DERIVS.shape[1], increasing=True)
-        derivs = _F_DERIVS @ powers.T
-        inv_a = a ** -np.arange(_RS_OFF_LINE_TERMS)[:, None]
-        U = sign * np.exp(-1j * th0)
-        for i in np.flatnonzero(~on_line):
-            sigma = float(sig[i])
-            Sx = ((_arias_de_reyna_matrix(sigma) @ derivs) * inv_a).sum(axis=0)
-            Sy = ((_arias_de_reyna_matrix(1.0 - sigma) @ derivs) * inv_a).sum(axis=0)
-            out[i] += U * a**-sigma * Sx + chi[i] * np.conj(U * Sy) * a ** (sigma - 1)
+    # Arias de Reyna: zeta(s) = R(s) + chi(s) conj(R(1 - conj s)), each R
+    # gaining (-1)^(m-1) U a^-sigma sum_k C_k(sigma, p) a^-k, with
+    # p = 1 - 2(a - m) and U = exp(-i theta0)
+    powers = np.vander(1 - 2 * (a - m), _F_DERIVS.shape[1], increasing=True)
+    derivs = _F_DERIVS @ powers.T
+    inv_a = a ** -np.arange(_RS_TERMS)[:, None]
+    U = np.where(m % 2 == 1, 1.0, -1.0) * np.exp(-1j * th0)
+    for i, sigma in enumerate(sig.tolist()):
+        Sx = ((_arias_de_reyna_matrix(sigma) @ derivs) * inv_a).sum(axis=0)
+        Sy = ((_arias_de_reyna_matrix(1.0 - sigma) @ derivs) * inv_a).sum(axis=0)
+        out[i] += U * a**-sigma * Sx + chi[i] * np.conj(U * Sy) * a ** (sigma - 1)
     return out
 
 

@@ -18,9 +18,9 @@ Node values come from the float64 line-batch kernel, one call per panel
 for both vertical lines: Euler-Maclaurin for a panel with a node below
 _kernels.RS_T_MIN = 3000, Riemann-Siegel for one whose nodes all lie at or
 above it. Both keep the abs error below 1e-12 + 1e-14 * t up to T_CEILING
-(measured against mpmath.zeta: at most 2.7e-15 * t and 1.5e-15 * t), far
+(measured against mpmath.zeta: at most 2.7e-15 * t and 1.3e-15 * t), far
 below any quadrature tolerance accepted here; a panel is about 0.4 ms at
-any t on the second route, so [0, T_CEILING] takes about 35 s. The
+any t on the second route, so [0, T_CEILING] takes about 31 s. The
 25-digit path in zetanum is used by the test suite to validate that
 kernel, not per node.
 """

@@ -43,8 +43,9 @@ def _assert_rows_within_bound(ts):
 
 
 def test_line_zeta_error_bound_up_to_t_ceiling():
-    # three seeded t per decade up to T_CEILING, each t alone, so that each
-    # runs at its own (tightest) truncation N
+    # three seeded t per decade up to T_CEILING, each t alone: those below
+    # RS_T_MIN check Euler-Maclaurin at its own (tightest) truncation N,
+    # those from RS_T_MIN on the Riemann-Siegel route
     rng = np.random.default_rng(11)
     ts = 10.0 ** (np.repeat(np.arange(1, 5), 3) + rng.uniform(0, 1, 12))
     for t in np.append(ts, T_CEILING):
@@ -125,19 +126,15 @@ def test_riemann_siegel_corrections_at_their_edges():
 
 
 def test_riemann_siegel_coefficient_tables():
-    # the float literals are the Taylor coefficients of Psi(1/2 + x) and F(z)
-    # rounded to float64: here from mpmath's numerical Taylor expansion of
-    # each function's quotient form at 60 digits
+    # the float literals are the Taylor coefficients of F(z) rounded to
+    # float64: here from mpmath's numerical Taylor expansion of its quotient
+    # form at 60 digits
     from mpmath import cos, exp, mpf, pi, sqrt, taylor
 
     with workdps(60):
-        psi = taylor(lambda x: cos(2 * pi * (x * x - mpf(5) / 16)) / cos(2 * pi * (x + mpf(1) / 2)),
-                     0, 2 * _kernels._PSI.size - 2)
         f = taylor(lambda z: (exp(pi * 1j * (z * z / 2 + mpf(3) / 8)) - 1j * sqrt(2) * cos(pi * z / 2))
                    / (2 * cos(pi * z)), 0, 2 * _kernels._F.size - 2)
-        psi = np.array([float(c) for c in psi[::2]])
         f = np.array([complex(c) for c in f[::2]])
-    assert np.allclose(_kernels._PSI, psi, rtol=1e-15, atol=0)
     assert np.allclose(_kernels._F, f, rtol=1e-15, atol=0)
 
 
