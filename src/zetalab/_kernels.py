@@ -14,15 +14,20 @@ import math
 import numpy as np
 
 # Tail-correction coefficients B_2k/(2k)! for the float64 zeta batch,
-# k = 1..EM_TERMS; values via 30-digit evaluation, far below float64 noise.
-from mpmath import bernoulli as _bernoulli, gamma as _gamma, workdps as _workdps
-
+# k = 1..EM_TERMS: float64 roundings of 30-digit mpmath values
+# (tests/test_kernels.py derives them again).
 EM_TERMS = 28
-
-with _workdps(30):
-    EM_COEFFS = np.array(
-        [float(_bernoulli(2 * k) / _gamma(2 * k + 1)) for k in range(1, EM_TERMS + 1)]
-    )
+EM_COEFFS = np.array([
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+    3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24,
+    -5.744790668872202e-26, 1.455172475614865e-27, -3.6859949406653103e-29,
+    9.336734257095045e-31, -2.36502241570063e-32, 5.990671762482134e-34,
+    -1.5174548844682903e-35, 3.843758125454189e-37, -9.736353072646691e-39,
+    2.466247044200681e-40, -6.247076741820743e-42, 1.5824030244644914e-43,
+    -4.008273685948936e-45])
 
 
 def line_zeta(sigmas, ts: np.ndarray) -> np.ndarray:

@@ -8,11 +8,13 @@ which is a truncated literature value; it is stored as the exact rational
 7077534/10^8 together with the bracket [ANCHOR_LOW, ANCHOR_HIGH) so that
 downstream constants can report their inherited uncertainty.
 
-Two opt-in variants introduce irrational quantities and therefore evaluate
-in floats: the improved high-sigma rows for the bounded-order table
-(variant "ivic-ouellet") and the explicit pointwise bound with exponent
-4.45*(1-sigma)^1.5 (variant "ford"). Defaults reproduce the published
-rational tables exactly.
+Two opt-in variants replace part of a table by a published improvement.
+The improved high-sigma rows of the bounded-order table (variant
+"ivic-ouellet") are rational too, and their irrational crossing is decided
+exactly, so that variant stays exact. The explicit pointwise bound with
+exponent 4.45*(1-sigma)^1.5 (variant "ford") has an irrational power and
+returns a float, rounded once from the exact 1-sigma. Defaults reproduce
+the published rational tables exactly.
 """
 
 from __future__ import annotations
@@ -170,21 +172,16 @@ def bounded_order_table() -> PiecewiseBound:
     )
 
 
-# Crossing point of the two improved high-sigma rules used by the
-# "ivic-ouellet" variant; irrational, so the variant works in floats.
-_IMPROVED_CROSSING = (171 + math.sqrt(1602)) / 222
-
-
-def max_bounded_order(
-    sigma: Rationalish, variant: Optional[str] = None
-) -> Union[Fraction, float]:
+def max_bounded_order(sigma: Rationalish, variant: Optional[str] = None) -> Fraction:
     """Largest moment order with T^(1+eps) growth on the line at sigma.
 
-    sigma must lie strictly between 1/2 and 1. The default table is exact
-    rational. variant="ivic-ouellet" switches to the improved rules
+    sigma must lie strictly between 1/2 and 1; the value is exact rational
+    for either table. variant="ivic-ouellet" switches to the improved rules
     258/(63-64s) on [14/15, c0] and (30s-12)/((4s-1)(1-s)) beyond, where c0
-    = (171+sqrt(1602))/222; those values are floats and never smaller than
-    the default table (both are lower bounds for the same supremum).
+    = (171+sqrt(1602))/222; those values are never smaller than the default
+    table (both are lower bounds for the same supremum). The irrational c0
+    is never formed: for s >= 14/15, 222s - 171 is positive, so s <= c0
+    exactly when (222s - 171)^2 <= 1602.
     """
     if variant not in _VARIANTS_ORDER:
         raise DomainError(f"unknown variant {variant!r}; expected one of {_VARIANTS_ORDER}")
@@ -194,12 +191,11 @@ def max_bounded_order(
     base = bounded_order_table()(s)
     if variant != "ivic-ouellet" or s < Fraction(14, 15):
         return base
-    sf = float(s)
-    if sf <= _IMPROVED_CROSSING:
-        improved = 258.0 / (63.0 - 64.0 * sf)
+    if (222 * s - 171) ** 2 <= 1602:
+        improved = 258 / (63 - 64 * s)
     else:
-        improved = (30.0 * sf - 12.0) / ((4.0 * sf - 1.0) * (1.0 - sf))
-    return max(float(base), improved)
+        improved = (30 * s - 12) / ((4 * s - 1) * (1 - s))
+    return max(base, improved)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +246,8 @@ def pointwise_exponent(
 
     Piecewise-linear between successive anchors (no chord skipping); exact
     rational for rational sigma. variant="ford" takes the minimum with the
-    explicit bound exponent 4.45*(1-sigma)^1.5 and returns a float.
+    explicit bound exponent 4.45*(1-sigma)^1.5 and returns a float; 1-sigma
+    is formed exactly and rounded once before the power.
     anchor_exponent overrides the truncated leading anchor, which is how the
     sensitivity of derived constants is measured (pass ANCHOR_HIGH).
     """
@@ -267,7 +264,8 @@ def pointwise_exponent(
         hi = interpolation_anchor(q)
     value = convex_interpolate(*lo, *hi, s)
     if variant == "ford":
-        return min(float(value), 4.45 * (1.0 - float(s)) ** 1.5)
+        # 1 - sigma is formed exactly: rounding sigma first loses its digits
+        return min(float(value), 4.45 * float(1 - s) ** 1.5)
     return value
 
 

@@ -349,14 +349,11 @@ def cmd_pairs(j: int, depth: int) -> Report:
     return report
 
 
-def cmd_moment(t_lo: float, t_hi: float, sigma: float, j: int, trace: tuple,
-               ceiling: int) -> Report:
+def cmd_moment(t_lo: float, t_hi: float, sigma: float, j: int, trace: tuple) -> Report:
     from . import moments as _moments
 
     report = Report()
-    samples = _moments.hybrid_moment_trace(
-        t_lo, t_hi, sigma, j, rel_tols=trace, panel_ceiling=ceiling
-    )
+    samples = _moments.hybrid_moment_trace(t_lo, t_hi, sigma, j, rel_tols=trace)
     rows = [
         [s.t_lo, s.t_hi, s.sigma, s.j, s.value, s.error_estimate]
         for s in samples
@@ -514,7 +511,6 @@ _COMMANDS = {
         "--trace": dict(type=_floats, default=(1e-3,),
                         help="comma-separated decreasing relative tolerances, "
                         "one sample each (default 1e-3)"),
-        "--ceiling": dict(type=_POSITIVE, default=200_000, help="panel budget (default 200000)"),
     }),
     "divisor": (cmd_divisor, "weighted divisor tables, main terms, error trend", {
         "--ell": dict(type=int, default=2),

@@ -120,15 +120,23 @@ def test_bounded_order_improved_variant():
     # below 14/15 the variant changes nothing
     assert bounds.max_bounded_order(F(9, 10), variant="ivic-ouellet") == bounds.max_bounded_order(F(9, 10))
     # above it the improved rules dominate on both sides of their crossing
-    for s in (F(94, 100), F(96, 100), F(99, 100)):
-        base = float(bounds.max_bounded_order(s))
+    # c0 = (171 + sqrt(1602))/222 = 0.950563..., between 0.95056 and 0.95057
+    def below(s):
+        return 258 / (63 - 64 * s)
+
+    def beyond(s):
+        return (30 * s - 12) / ((4 * s - 1) * (1 - s))
+
+    eps = F(1, 10**12)
+    for s, rule in ((F(94, 100), below), (F(95056, 10**5), below), (F(95057, 10**5), beyond),
+                    (F(96, 100), beyond), (F(99, 100), beyond), (1 - eps, beyond)):
         improved = bounds.max_bounded_order(s, variant="ivic-ouellet")
-        assert isinstance(improved, float)
-        assert improved >= base
-    v = bounds.max_bounded_order(0.94, variant="ivic-ouellet")
-    assert v == pytest.approx(258.0 / (63.0 - 64.0 * 0.94))
-    v = bounds.max_bounded_order(0.96, variant="ivic-ouellet")
-    assert v == pytest.approx((30 * 0.96 - 12) / ((4 * 0.96 - 1) * (1 - 0.96)))
+        assert isinstance(improved, Fraction)
+        assert improved == rule(s) >= bounds.max_bounded_order(s)
+    assert bounds.max_bounded_order(F(94, 100), variant="ivic-ouellet") == F(6450, 71)
+    assert bounds.max_bounded_order(F(96, 100), variant="ivic-ouellet") == F(10500, 71)
+    # float arithmetic is off by 2.2e-5 relative here
+    assert bounds.max_bounded_order(1 - eps, variant="ivic-ouellet") == 5999999999998 - F(2, 749999999999)
 
 
 def test_interpolation_anchors():
@@ -185,6 +193,13 @@ def test_pointwise_exponent_ford_variant():
     v = bounds.pointwise_exponent(F(9999, 10000), variant="ford")
     assert v == pytest.approx(4.45 * (1e-4) ** 1.5, rel=1e-12)
     assert v < float(bounds.pointwise_exponent(F(9999, 10000)))
+    # next to 1, 1 - sigma must not be formed from a rounded sigma: that
+    # is off by 3.3e-5 relative at 1 - 1e-12 and by 17% at 1 - 1e-16
+    for e in (12, 16):
+        v = bounds.pointwise_exponent(1 - F(1, 10**e), variant="ford")
+        with mpmath.workdps(40):
+            ref = mpmath.mpf(445) / 100 * mpmath.power(10, -1.5 * e)
+            assert abs(v - ref) <= 1e-15 * ref, e
 
 
 def test_threshold_closed_forms_exact():

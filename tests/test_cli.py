@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import zetalab
-from zetalab import cli
+from zetalab import cli, moments
 from zetalab.cli import RunConfig, main
 
 
@@ -38,7 +38,6 @@ def test_option_validation(capsys):
         (["divisor", "--a", "0.5"], "--a"),
         (["divisor", "--a", "nan"], "--a"),
         (["divisor", "--ceiling", "0"], "--ceiling"),
-        (["moment", "--ceiling", "-1"], "--ceiling"),
         (["thresholds", "--format", "xml"], "--format"),
     ):
         rc, out, err = _run(capsys, argv)
@@ -83,7 +82,7 @@ _PINNED_HASHES = {
     "bounds": "a81e377a",
     "bounds --table pointwise --variant ford --count 9 --start 0.72 --stop 0.9": "67b63775",
     "pairs --j 2 --depth 5": "fb2261c0",
-    "moment --t-hi 200 --sigma 0.8 --j 2": "561d414e",
+    "moment --t-hi 200 --sigma 0.8 --j 2": "578729dd",
     "divisor --ell 1 --a 0.3 --ceiling 20000": "ba41a246",
 }
 
@@ -211,8 +210,9 @@ def test_global_flags_same_before_and_after_subcommand(capsys, tmp_path, flags, 
 
 
 # (subcommand, option) pairs that no handler reads, moment's --tol, which
-# --trace replaces, and the removed --tol gate and divisor --eps column
-# exponent, both now constants; each exits 1 as an unknown option
+# --trace replaces, and the removed --tol gate, divisor --eps column
+# exponent and moment --ceiling panel budget, all now constants; each
+# exits 1 as an unknown option
 _FOREIGN_OPTIONS = [
     ["thresholds", "--tol", "1e-4"],
     ["shift-ranges", "--tol", "1e-9"],
@@ -229,6 +229,7 @@ _FOREIGN_OPTIONS = [
     ["moment", "--depth", "3"],
     ["moment", "--variant", "ford"],
     ["moment", "--tol", "1e-4"],
+    ["moment", "--ceiling", "-1"],
     ["divisor", "--depth", "2"],
     ["divisor", "--variant", "ford"],
     ["divisor", "--tol", "3"],
@@ -368,7 +369,7 @@ def test_exit_precision_error_alone_on_stderr():
 def test_exit_trace_nan_tolerance(capsys, trace):
     # NaN passes no comparison, so it must be rejected, not refined to the
     # panel ceiling
-    rc, out, err = _run(capsys, ["moment", "--t-hi", "100", "--trace", trace, "--ceiling", "300"])
+    rc, out, err = _run(capsys, ["moment", "--t-hi", "100", "--trace", trace])
     assert rc == 1 and out == ""
     assert err.startswith("error: ") and "nan" in err
 
@@ -410,14 +411,14 @@ def test_exit_resource_ceiling(capsys):
     assert "ceiling" in err
 
 
-def test_exit_moment_initial_panels_above_ceiling(capsys):
-    # [0, 300] takes 70 initial panels by the phase rule: a budget of 3
-    # fails before any node is evaluated, a budget of exactly 70 runs
-    rc, out, err = _run(capsys, ["moment", "--t-hi", "300", "--ceiling", "3"])
-    assert rc == 3 and out == ""
-    assert err.startswith("ceiling error: ") and "70 initial panels" in err
-    rc, out, _ = _run(capsys, ["moment", "--t-hi", "300", "--ceiling", "70", "--format", "csv"])
-    assert rc == 0 and out.startswith("T_lo,T_hi,sigma,j,value,error_estimate")
+def test_moment_unconverged_note(capsys, monkeypatch):
+    # a run stopped by the panel budget still reports, and says so
+    monkeypatch.setattr(moments, "PANEL_CEILING", 8)
+    rc, out, err = _run(capsys, ["moment", "--t-lo", "0.1", "--t-hi", "50", "--sigma", "1",
+                                 "--j", "3", "--trace", "1e-6"])
+    assert rc == 0 and err == ""
+    assert "- final tolerance NOT reached before the panel ceiling" in out
+    assert "final panels=8 " in out
 
 
 def test_exit_unknown_command(capsys):

@@ -138,6 +138,15 @@ def test_riemann_siegel_coefficient_tables():
     assert np.allclose(_kernels._F, f, rtol=1e-15, atol=0)
 
 
+def test_euler_maclaurin_coefficient_table():
+    # the float literals are B_2k/(2k)! at 30 digits, rounded to float64
+    from mpmath import bernoulli, factorial
+
+    with workdps(30):
+        ref = [float(bernoulli(2 * k) / factorial(2 * k)) for k in range(1, _kernels.EM_TERMS + 1)]
+    assert _kernels.EM_COEFFS.tolist() == ref
+
+
 def test_gauss_kronrod_constants():
     # G10 is the 10-point Gauss-Legendre rule on every second K21 node
     x, w = np.polynomial.legendre.leggauss(10)

@@ -116,34 +116,23 @@ def test_trace_requires_decreasing_tols():
         moments.hybrid_moment_trace(0, 50, 0.5, 0, rel_tols=[])
 
 
-def test_panel_ceiling_reported_not_raised():
+def test_panel_ceiling_reported_not_raised(monkeypatch):
     # the sixth-power integrand hugging the pole keeps the estimate coarse,
     # so a ceiling of 8 panels must end the run unconverged but cleanly
-    s = moments.hybrid_moment(0.1, 50.0, 1.0, 3, rel_tol=1e-6, panel_ceiling=8)
+    monkeypatch.setattr(moments, "PANEL_CEILING", 8)
+    s = moments.hybrid_moment(0.1, 50.0, 1.0, 3, rel_tol=1e-6)
     assert not s.converged
     assert s.step_stats["panels"] >= 8
     assert s.step_stats["refinements"] > 0
     assert s.value > 0
 
 
-def test_initial_panels_above_ceiling_raise(monkeypatch):
-    # the budget covers the phase rule's initial panels too: [0.1, 50]
-    # takes 6, so a ceiling of 5 raises before any node is evaluated and a
-    # ceiling of exactly 6 runs
-    evaluated = []
-    real = moments._eval_panel
-
-    def counted(*args):
-        evaluated.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(moments, "_eval_panel", counted)
-    with pytest.raises(CeilingError, match="6 initial panels"):
-        moments.hybrid_moment_trace(0.1, 50.0, 1.0, 3, [1e-3], panel_ceiling=5)
-    assert evaluated == []
-    s = moments.hybrid_moment(0.1, 50.0, 1.0, 3, rel_tol=1e-6, panel_ceiling=6)
-    assert s.step_stats["initial_panels"] == 6 and s.step_stats["panels"] == 6
-    assert len(evaluated) == 6
+def test_initial_panels_stay_below_ceiling():
+    # _panel_width decreases in t and _validate caps t_hi at T_CEILING, so
+    # no window starts with more initial panels than this, and refinement
+    # never begins at or above the budget
+    widest = moments.T_CEILING / moments._panel_width(moments.T_CEILING) + 1
+    assert widest < moments.PANEL_CEILING
 
 
 def test_moment_positive_and_scales():
@@ -169,12 +158,13 @@ def test_sigma_one_from_zero_is_rejected():
     assert math.isfinite(moments.hybrid_moment(0, 10, 1.0, 0, rel_tol=1e-3).value)
 
 
-def test_overflowing_panel_raises_at_once():
+def test_overflowing_panel_raises_at_once(monkeypatch):
     # |zeta(1+0.01i)|^400 is about 100^400, beyond float64: the first panel
     # must raise instead of refining inf and NaN up to the panel ceiling
+    monkeypatch.setattr(moments, "PANEL_CEILING", 2000)
     with np.errstate(over="ignore"):
         with pytest.raises(PrecisionError, match="not finite"):
-            moments.hybrid_moment(0.01, 1.0, 1.0, 200, panel_ceiling=2000)
+            moments.hybrid_moment(0.01, 1.0, 1.0, 200)
 
 
 def test_sample_invariants():

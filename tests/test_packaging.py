@@ -92,4 +92,4 @@ def test_no_dead_config_field():
             parsed = "choices" in kwargs or kwargs.get("type") not in (None, str)
             assert parsed, f"{command} {flag}: hashed as raw text"
             checked += 1
-    assert checked == 17  # the settable values the configuration hash covers
+    assert checked == 16  # the settable values the configuration hash covers
