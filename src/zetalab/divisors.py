@@ -8,9 +8,10 @@ multiplicative, and its table, like the divisor-count tables, comes from
 the prime-power sieve in _kernels. Main terms come from
 the residues of that series times X^s/s at s = 1 (pole of order 4) and
 s = 1 - a (pole of order ell), read off products of truncated power series
-of zeta around each pole and checked against one contour per pole. The
-error term is the exact summatory minus both evaluated main-term
-polynomials.
+of zeta around each pole and checked against one contour per pole: in
+float64 from one vectorised zeta call, and at 30 digits where float64
+misses the check's gate. The error term is the exact summatory minus both
+evaluated main-term polynomials.
 """
 
 from __future__ import annotations
@@ -182,12 +183,10 @@ def _principal_part(b, order: int, d, power: int) -> list[mpf]:
             return [g[order - i] for i in range(1, order + 1)]
 
 
-def _contour_moments(radius, ell: int, a) -> list[tuple[tuple, list[mpc]]]:
+def _contour_moments(radius, ell: int, a) -> list[list[mpc]]:
     """Principal-part coefficients of zeta(s)^4 * zeta(s+a)^ell / s by
-    contour: f_{-1}..f_{-4} at the pole s = 1, then f_{-1}..f_{-ell} at the
-    pole s = 1-a. Each ring comes with its pole as the arguments
-    (b, order, d, power) of _principal_part, so the pole layout lives here
-    only.
+    contour at 30 digits: f_{-1}..f_{-4} at the pole s = 1, then
+    f_{-1}..f_{-ell} at the pole s = 1-a.
 
     f_{-i} is the mean over a circle of the function times (s - pole)^i at
     CONTOUR_NODES nodes; trapezoid on a circle converges spectrally for the
@@ -195,7 +194,8 @@ def _contour_moments(radius, ell: int, a) -> list[tuple[tuple, list[mpc]]]:
     zeta(1 + r z) serves as zeta(s) on the first and as zeta(s + a) on the
     second: 3 * CONTOUR_NODES zeta values in all. Every value goes through
     zeta_eval, to the target 10^-(_DPS-4) that gives it _DPS digits, so
-    this route does not share mpmath's zeta with _principal_part.
+    this route does not share mpmath's zeta with _principal_part. It checks
+    the series only where _float_contour_moments misses CONTOUR_REL_TOL.
     """
     nodes = CONTOUR_NODES
     with _MP_LOCK:
@@ -207,17 +207,49 @@ def _contour_moments(radius, ell: int, a) -> list[tuple[tuple, list[mpc]]]:
             p = 1 - mpf(a)
             circles = (
                 # at s = 1, zeta(s) = zeta(1 + w)
-                ((0.0, 4, a, ell), [z1**4 * zeta_eval(1 + w + a, target) ** ell / (1 + w)
-                                    for w, z1 in zip(rz, at_one)]),
+                (4, [z1**4 * zeta_eval(1 + w + a, target) ** ell / (1 + w)
+                     for w, z1 in zip(rz, at_one)]),
                 # at s = 1 - a, zeta(s + a) = zeta(1 + w)
-                ((a, ell, -a, 4), [zeta_eval(p + w, target) ** 4 * z1**ell / (p + w)
-                                   for w, z1 in zip(rz, at_one)]),
+                (ell, [zeta_eval(p + w, target) ** 4 * z1**ell / (p + w)
+                       for w, z1 in zip(rz, at_one)]),
             )
             return [
-                (pole, [sum(F * w**i for w, F in zip(rz, ring)) / nodes
-                        for i in range(1, pole[1] + 1)])
-                for pole, ring in circles
+                [sum(F * w**i for w, F in zip(rz, ring)) / nodes for i in range(1, order + 1)]
+                for order, ring in circles
             ]
+
+
+def _float_contour_moments(radius: float, ell: int, a: float) -> list[np.ndarray]:
+    """The moments of _contour_moments in float64, at the same nodes: the
+    3 * CONTOUR_NODES zeta values come from one _kernels.point_zeta call.
+
+    The nearest other singularity lies at least 4r from each circle, so the
+    digits lost between the ring values and the moments do not grow as
+    a -> 0. A value or moment that overflows comes out inf or nan, which
+    misses the gate, and no warning is raised.
+    """
+    nodes = CONTOUR_NODES
+    rz = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _kernels.point_zeta(np.concatenate([1 + rz, 1 + a + rz, 1 - a + rz]))
+        z1, z1a, zp = values.reshape(3, nodes)
+        circles = ((4, z1**4 * z1a**ell / (1 + rz)), (ell, zp**4 * z1**ell / (1 - a + rz)))
+        return [rz ** np.arange(1, order + 1)[:, None] @ ring / nodes for order, ring in circles]
+
+
+def _check(series: list, rings: list) -> tuple[float, float]:
+    """Largest relative discrepancy between the series coefficients and
+    those of the contour moments (a NaN counts as infinite), and largest
+    imaginary part of a moment relative to its magnitude: the moments are
+    real in exact arithmetic."""
+    worst = leak = 0.0
+    for coeffs, ring in zip(series, rings):
+        ring = [complex(f) for f in ring]
+        leak = max([leak] + [abs(f.imag) / max(abs(f), 1e-30) for f in ring])
+        for u, v in zip(coeffs, _moments_to_coeffs(ring)):
+            d = abs(u - v) / max(abs(u), abs(v), 1e-30)
+            worst = math.inf if math.isnan(d) else max(worst, d)
+    return worst, leak
 
 
 @dataclass(frozen=True)
@@ -258,11 +290,15 @@ def main_terms(ell: int, a) -> MainTermPolynomial:
     The coefficients come from truncated power series (_principal_part),
     worked at _DPS = 30 digits and rounded to float64. One contour of
     CONTOUR_NODES nodes and radius r = min(a, 1-a, 1/4)/4 around each pole
-    checks them; any coefficient disagreeing by more than CONTOUR_REL_TOL
-    relative raises PrecisionError naming ell, a, r and the discrepancy.
-    More digits do not help there: at ell = 40, a = 0.35 the check fails
-    at 60 digits as at 30. The shift must satisfy 0 < a < 1/2; at a = 0
-    the two poles merge into one that this construction does not cover.
+    checks them, in float64 first (_float_contour_moments). Where float64
+    misses CONTOUR_REL_TOL (measured from ell = 11 at a = 1e-4, 13 at
+    a = 0.49 and 15 at a = 0.01 and 0.35) the 30-digit contour decides
+    instead; where that one misses it too, PrecisionError names ell, a, r
+    and the discrepancy. The diagnostics name the route that decided. More
+    digits do not help there: at a = 0.35, ell = 30 passes at 9.7e-9 and
+    ell = 31 misses at 1.9e-8, at 60 digits as at 30. The shift must
+    satisfy 0 < a < 1/2; at a = 0 the two poles merge into one that this
+    construction does not cover.
     """
     if not (isinstance(ell, int) and ell >= 1):
         raise DomainError(f"ell must be a positive integer, got {ell!r}")
@@ -273,16 +309,16 @@ def main_terms(ell: int, a) -> MainTermPolynomial:
             "poles merge into one"
         )
     r = min(a_f, 1.0 - a_f, 0.25) / 4.0
-    coeffs = []
-    worst = 0.0
-    leak = 0.0
-    # pole s = 1 of order 4, then pole s = 1 - a of order ell
-    for pole, ring in _contour_moments(r, ell, a_f):
-        series = _moments_to_coeffs(_principal_part(*pole))
-        leak = max([leak] + [abs(float(mp.im(v))) for v in ring])
-        for u, v in zip(series, _moments_to_coeffs(ring)):
-            worst = max(worst, abs(u - v) / max(abs(u), abs(v), 1e-30))
-        coeffs.append(tuple(series))
+    # pole s = 1 of order 4, then pole s = 1 - a of order ell, as the
+    # arguments (b, order, d, power) of _principal_part; both contours
+    # return their moments in this order
+    poles = ((0.0, 4, a_f, ell), (a_f, ell, -a_f, 4))
+    series = [_moments_to_coeffs(_principal_part(*pole)) for pole in poles]
+    route = "float64"
+    worst, leak = _check(series, _float_contour_moments(r, ell, a_f))
+    if worst > CONTOUR_REL_TOL:
+        route = "30 digits"
+        worst, leak = _check(series, _contour_moments(r, ell, a_f))
     if worst > CONTOUR_REL_TOL:
         raise PrecisionError(
             f"main terms at ell={ell}, a={a_f:g}: series and contour coefficients "
@@ -292,12 +328,12 @@ def main_terms(ell: int, a) -> MainTermPolynomial:
     return MainTermPolynomial(
         ell=ell,
         a=a_f,
-        c_coeffs=coeffs[0],
-        cprime_coeffs=coeffs[1],
+        c_coeffs=tuple(series[0]),
+        cprime_coeffs=tuple(series[1]),
         diagnostics={
             "radius": r,
             "nodes": CONTOUR_NODES,
-            "dps": _DPS,
+            "route": route,
             "max_rel_discrepancy": worst,
             "max_imag_leak": leak,
         },

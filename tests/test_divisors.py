@@ -48,6 +48,12 @@ def poly_1_04():
     return main_terms(1, 0.4)
 
 
+@pytest.fixture(scope="module")
+def poly_20_035():
+    # float64 misses the gate here, so the 30-digit contour decides
+    return main_terms(20, 0.35)
+
+
 # ---------------------------------------------------------------------------
 # Sieve tables.
 # ---------------------------------------------------------------------------
@@ -224,18 +230,27 @@ def test_simple_pole_coefficient_closed_form(poly_1_04):
     assert abs(poly_1_04.cprime_coeffs[0] - want) < 1e-8
 
 
-def test_main_terms_diagnostics(poly_2_035):
+def test_main_terms_diagnostics(poly_2_035, poly_20_035):
+    # the leak is each moment's imaginary part relative to its magnitude;
+    # float64 measured 4.3e-14 discrepancy and 2.2e-14 leak at (2, 0.35)
     d = poly_2_035.diagnostics
+    assert d["route"] == "float64"
+    assert d["max_rel_discrepancy"] < 1e-12
+    assert d["max_imag_leak"] < 1e-12
+    d = poly_20_035.diagnostics
+    assert d["route"] == "30 digits"
     assert d["max_rel_discrepancy"] < 1e-8
     assert d["max_imag_leak"] < 1e-20
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
-@pytest.mark.parametrize("a", [0.01, 0.2, 0.49])
+@pytest.mark.parametrize("a", [1e-4, 0.01, 0.2, 0.49, 0.4999])
 def test_leading_coefficients_closed_form(ell, a):
     # c_3 = zeta(1+a)^ell / 3! and c'_(ell-1) = zeta(1-a)^4 / ((1-a) (ell-1)!)
-    # over the advertised shifts; the series must also pass its contour check
+    # over the advertised shifts; the series must also pass its contour
+    # check, which float64 decides at these ell
     poly = main_terms(ell, a)
+    assert poly.diagnostics["route"] == "float64"
     with mpmath.workdps(30):
         am = mpmath.mpf(a)
         c3 = float(mpmath.zeta(1 + am) ** ell / 6)
@@ -256,9 +271,9 @@ def test_unweighted_coefficients_closed_form(m):
 
 
 def test_main_terms_zeta_eval_budget(monkeypatch):
-    # the series route makes the main terms; zeta_eval only feeds the one
-    # 32-node check contour per pole, whose circles share zeta(1 + r z):
-    # three values per node
+    # the series route makes the main terms; zeta_eval only feeds the
+    # 30-digit check contour, taken where float64 misses the gate: one
+    # 32-node circle per pole, sharing zeta(1 + r z), three values per node
     calls = []
 
     def counting(*args, **kwargs):
@@ -267,6 +282,8 @@ def test_main_terms_zeta_eval_budget(monkeypatch):
 
     monkeypatch.setattr(divisors, "zeta_eval", counting)
     main_terms(2, 0.3)
+    assert calls == []
+    assert main_terms(16, 0.49).diagnostics["route"] == "30 digits"
     assert 0 < len(calls) <= 96
     calls.clear()
     _unweighted_main_coeffs.__wrapped__(7)
@@ -282,9 +299,28 @@ def test_main_terms_validation():
         main_terms(0, 0.3)
 
 
+def test_main_terms_gate_decides_as_before(poly_20_035):
+    # where float64 misses the gate, the 30-digit contour passes or raises
+    # with the discrepancy it gave when it was the only route
+    assert f"{poly_20_035.diagnostics['max_rel_discrepancy']:.2g}" == "3.8e-12"
+    with pytest.raises(PrecisionError, match=r"ell=31, a=0.35: .* differ by 1.92e-08 relative"):
+        main_terms(31, 0.35)
+
+
+def test_float_contour_overflow_misses_the_gate():
+    # at a = 1e-4, |zeta(1 + w)| ~ 1/r = 4e4 and its 70th power overflows:
+    # the float64 moments come out non-finite, with no warning, and must
+    # read as an infinite discrepancy, never as a pass
+    rings = divisors._float_contour_moments(2.5e-5, 70, 1e-4)
+    assert not np.all(np.isfinite(rings[1]))
+    worst, _ = divisors._check([[1.0] * 4, [1.0] * 70], rings)
+    assert worst == math.inf
+
+
 def test_main_terms_gate_names_the_point():
-    # at a = 0.35 the contour check misses its gate from ell = 32 on, at 60
-    # digits as at 30, so the message names the inputs, not a digit count
+    # at a = 0.35 the contour check misses its gate from ell = 31 on (ell =
+    # 30 passes at 9.7e-9, ell = 31 misses at 1.92e-8), at 60 digits as at
+    # 30, so the message names the inputs, not a digit count
     with pytest.raises(PrecisionError) as exc:
         main_terms(32, 0.35)
     assert re.search(r"ell=32, a=0.35: .* differ by \S+ relative at contour radius 0.0625", str(exc.value))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from mpmath import mpc, workdps
 
-from zetalab import _kernels, moments, zetanum
+from zetalab import _kernels, divisors, moments, zetanum
 from zetalab.divisors import sieve_divisor_counts
 from zetalab.moments import T_CEILING
 
@@ -29,6 +29,20 @@ def test_line_zeta_matches_reference():
             for i, t in enumerate(ts):
                 ref = complex(zetanum.zeta_eval(mpc(sigma, t)))
                 assert abs(row[i] - ref) < 5e-12, (sigma, t)
+
+
+def test_point_zeta_at_contour_nodes():
+    # every node of main_terms' three check circles, radius
+    # r = min(a, 1-a, 1/4)/4 around 1, 1 + a and 1 - a, so Re s goes down to
+    # 1 - a - r; the measured worst relative error is 4.2e-15 (a = 0.49)
+    n = divisors.CONTOUR_NODES
+    for a in (1e-4, 0.01, 0.2, 0.35, 0.49):
+        rz = min(a, 1 - a, 0.25) / 4 * np.exp(2j * np.pi * np.arange(n) / n)
+        s = np.concatenate([1 + rz, 1 + a + rz, 1 - a + rz])
+        got = _kernels.point_zeta(s)
+        with workdps(30):
+            ref = np.array([complex(mpmath.zeta(complex(x))) for x in s])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-14, a
 
 
 def _assert_rows_within_bound(ts):
