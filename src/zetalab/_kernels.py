@@ -3,8 +3,9 @@ sieve for multiplicative tables, and a compensated running sum.
 
 Each kernel has one numpy implementation. The zeta line batch takes one of
 two routes by the size of t: Euler-Maclaurin below RS_T_MIN, Riemann-Siegel
-from there on. The point batch is Euler-Maclaurin, with the same tail.
-Integer tables use exact int64 arithmetic.
+from there on. The point batch takes offsets u from the pole and returns
+zeta(1 + u) by Euler-Maclaurin, with the same tail. Integer tables use
+exact int64 arithmetic.
 """
 
 from __future__ import annotations
@@ -74,24 +75,27 @@ def _euler_maclaurin(sig: np.ndarray, ts: np.ndarray) -> np.ndarray:
     theta = np.multiply.outer(lnn, ts)
     W = np.exp(-np.multiply.outer(sig, lnn))
     acc = W @ np.cos(theta) - 1j * (W @ np.sin(theta))
-    return _add_em_tail(acc, sig[:, None] + 1j * ts, N)
+    s = sig[:, None] + 1j * ts
+    return _add_em_tail(acc, s, s - 1.0, N)
 
 
-def point_zeta(s) -> np.ndarray:
-    """zeta(s) for an array of complex s, float64 throughout.
+def point_zeta(u) -> np.ndarray:
+    """zeta(1 + u) for an array of complex offsets u, float64 throughout.
 
     The Euler-Maclaurin route of line_zeta for arbitrary points: the sum of
-    n^(-s) over n < N, N ~ 0.3 * max |Im s| (at least 50), and the same tail.
-    s = 1 hits the pole. divisors.main_terms evaluates its check contours
-    with it: against mpmath.zeta at every node of those circles for shifts
-    a from 1e-4 to 0.49 (Re s from 0.4475 to 1.5525, |Im s| <= 1/16), the
-    relative error is at most 4.2e-15 (tests/test_kernels.py bounds it by
-    1e-14).
+    n^(-s) over n < N, N ~ 0.3 * max |Im u| (at least 50), and the same
+    tail. The pole term divides by u itself: rounding s = 1 + u first
+    would cost about eps / |u| relative near the pole. u = 0 hits the pole.
+    divisors.main_terms evaluates its check contours with it: against
+    40-digit mpmath.zeta(1 + u) at every node of those circles for shifts a
+    from 1e-12 to 0.4999 (Re s from 0.25 to 1.625, |Im u| <= 1/4), the
+    relative error is at most 1.0e-14 (tests/test_kernels.py bounds it).
     """
-    s = np.asarray(s, dtype=np.complex128)
-    N = _em_cutoff(s.imag)
+    u = np.asarray(u, dtype=np.complex128)
+    s = 1.0 + u
+    N = _em_cutoff(u.imag)
     acc = np.exp(-np.multiply.outer(s, np.log(np.arange(1, N)))).sum(axis=-1)
-    return _add_em_tail(acc, s, N)
+    return _add_em_tail(acc, s, u, N)
 
 
 def _em_cutoff(ts: np.ndarray) -> int:
@@ -100,13 +104,13 @@ def _em_cutoff(ts: np.ndarray) -> int:
     return max(50, int(0.3 * tmax) + 2)
 
 
-def _add_em_tail(acc: np.ndarray, s: np.ndarray, N: int) -> np.ndarray:
+def _add_em_tail(acc: np.ndarray, s: np.ndarray, sm1: np.ndarray, N: int) -> np.ndarray:
     """Add to acc, the sums of n^(-s) over n < N, the rest of zeta(s):
-    N^(1-s)/(s-1) + N^(-s)/2 and EM_TERMS tail terms. Each tail term is
-    built from the one before, dividing by N^2 at every step, so no power
-    of N overflows."""
+    N^(1-s)/(s-1) + N^(-s)/2 and EM_TERMS tail terms, with s - 1 given as
+    sm1. Each tail term is built from the one before, dividing by N^2 at
+    every step, so no power of N overflows."""
     NmS = np.exp(-s * math.log(N))
-    acc += NmS * N / (s - 1.0)
+    acc += NmS * N / sm1
     acc += NmS * 0.5
     # tail term k is term k-1 times (s + 2k - 3)(s + 2k - 2) / N^2
     k = np.arange(2, EM_TERMS + 1).reshape((-1,) + (1,) * s.ndim)

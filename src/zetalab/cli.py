@@ -399,7 +399,7 @@ def cmd_divisor(ell: int, a: float, ceiling: int) -> Report:
     )
     d = poly.diagnostics
     report.notes.append(
-        f"contour diagnostics: radius={d['radius']:g} nodes={d['nodes']} route={d['route']} "
+        f"contour diagnostics: radii={d['radii'][0]:g},{d['radii'][1]:g} nodes={d['nodes']} "
         f"max_rel_discrepancy={d['max_rel_discrepancy']:.3g} "
         f"max_imag_leak={d['max_imag_leak']:.3g}"
     )

@@ -8,10 +8,9 @@ multiplicative, and its table, like the divisor-count tables, comes from
 the prime-power sieve in _kernels. Main terms come from
 the residues of that series times X^s/s at s = 1 (pole of order 4) and
 s = 1 - a (pole of order ell), read off products of truncated power series
-of zeta around each pole and checked against one contour per pole: in
-float64 from one vectorised zeta call, and at 30 digits where float64
-misses the check's gate. The error term is the exact summatory minus both
-evaluated main-term polynomials.
+of zeta around each pole and checked in float64 against one contour per
+pole, whose zeta values come from one vectorised call. The error term is
+the exact summatory minus both evaluated main-term polynomials.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .errors import CeilingError, DomainError, PrecisionError
 from .zetanum import _MP_LOCK, zeta_eval
 
 N_CEILING = 50_000_000
-CONTOUR_NODES = 32
+CONTOUR_NODES = 64
 CONTOUR_REL_TOL = 1.0e-8
 TREND_EXPONENT = 0.55  # error_trend's column |E|/X^(1/2+eps), at eps = 0.05
 
@@ -183,58 +182,32 @@ def _principal_part(b, order: int, d, power: int) -> list[mpf]:
             return [g[order - i] for i in range(1, order + 1)]
 
 
-def _contour_moments(radius, ell: int, a) -> list[list[mpc]]:
+def _float_contour_moments(radii: tuple, ell: int, a: float) -> list[np.ndarray]:
     """Principal-part coefficients of zeta(s)^4 * zeta(s+a)^ell / s by
-    contour at 30 digits: f_{-1}..f_{-4} at the pole s = 1, then
-    f_{-1}..f_{-ell} at the pole s = 1-a.
+    contour in float64: f_{-1}..f_{-4} at the pole s = 1, then
+    f_{-1}..f_{-ell} at the pole s = 1-a, with radii[0] and radii[1].
 
     f_{-i} is the mean over a circle of the function times (s - pole)^i at
     CONTOUR_NODES nodes; trapezoid on a circle converges spectrally for the
-    analytic integrand. Both circles have the same radius and nodes, so
-    zeta(1 + r z) serves as zeta(s) on the first and as zeta(s + a) on the
-    second: 3 * CONTOUR_NODES zeta values in all. Every value goes through
-    zeta_eval, to the target 10^-(_DPS-4) that gives it _DPS digits, so
-    this route does not share mpmath's zeta with _principal_part. It checks
-    the series only where _float_contour_moments misses CONTOUR_REL_TOL.
+    analytic integrand. All 4 * CONTOUR_NODES zeta values come from one
+    _kernels.point_zeta call, at offsets from the pole s = 1, so no node
+    loses digits to rounding 1 + u. The nearest other singularity lies at
+    least twice the radius from each centre, so the digits lost between the
+    ring values and the moments do not grow as a -> 0. A value or moment
+    that overflows comes out inf or nan, which misses the gate, and no
+    warning is raised.
     """
     nodes = CONTOUR_NODES
-    with _MP_LOCK:
-        with workdps(_DPS + 10):
-            target = mpf(10) ** (4 - _DPS)
-            r = mpf(radius)
-            rz = [r * mp.e ** (mpc(0, 2) * mp.pi * jj / nodes) for jj in range(nodes)]
-            at_one = [zeta_eval(1 + w, target) for w in rz]
-            p = 1 - mpf(a)
-            circles = (
-                # at s = 1, zeta(s) = zeta(1 + w)
-                (4, [z1**4 * zeta_eval(1 + w + a, target) ** ell / (1 + w)
-                     for w, z1 in zip(rz, at_one)]),
-                # at s = 1 - a, zeta(s + a) = zeta(1 + w)
-                (ell, [zeta_eval(p + w, target) ** 4 * z1**ell / (p + w)
-                       for w, z1 in zip(rz, at_one)]),
-            )
-            return [
-                [sum(F * w**i for w, F in zip(rz, ring)) / nodes for i in range(1, order + 1)]
-                for order, ring in circles
-            ]
-
-
-def _float_contour_moments(radius: float, ell: int, a: float) -> list[np.ndarray]:
-    """The moments of _contour_moments in float64, at the same nodes: the
-    3 * CONTOUR_NODES zeta values come from one _kernels.point_zeta call.
-
-    The nearest other singularity lies at least 4r from each circle, so the
-    digits lost between the ring values and the moments do not grow as
-    a -> 0. A value or moment that overflows comes out inf or nan, which
-    misses the gate, and no warning is raised.
-    """
-    nodes = CONTOUR_NODES
-    rz = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    z = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    w1, w2 = radii[0] * z, radii[1] * z
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _kernels.point_zeta(np.concatenate([1 + rz, 1 + a + rz, 1 - a + rz]))
-        z1, z1a, zp = values.reshape(3, nodes)
-        circles = ((4, z1**4 * z1a**ell / (1 + rz)), (ell, zp**4 * z1**ell / (1 - a + rz)))
-        return [rz ** np.arange(1, order + 1)[:, None] @ ring / nodes for order, ring in circles]
+        values = _kernels.point_zeta(np.concatenate([w1, a + w1, w2 - a, w2]))
+        z1, z1a, zp, z2 = values.reshape(4, nodes)
+        circles = (
+            (w1, 4, z1**4 * z1a**ell / (1 + w1)),  # at s = 1 + w1
+            (w2, ell, zp**4 * z2**ell / (1 - a + w2)),  # at s = 1 - a + w2
+        )
+        return [w ** np.arange(1, order + 1)[:, None] @ ring / nodes for w, order, ring in circles]
 
 
 def _check(series: list, rings: list) -> tuple[float, float]:
@@ -288,17 +261,20 @@ def main_terms(ell: int, a) -> MainTermPolynomial:
     """Main-term polynomials from the principal parts at both poles.
 
     The coefficients come from truncated power series (_principal_part),
-    worked at _DPS = 30 digits and rounded to float64. One contour of
-    CONTOUR_NODES nodes and radius r = min(a, 1-a, 1/4)/4 around each pole
-    checks them, in float64 first (_float_contour_moments). Where float64
-    misses CONTOUR_REL_TOL (measured from ell = 11 at a = 1e-4, 13 at
-    a = 0.49 and 15 at a = 0.01 and 0.35) the 30-digit contour decides
-    instead; where that one misses it too, PrecisionError names ell, a, r
-    and the discrepancy. The diagnostics name the route that decided. More
-    digits do not help there: at a = 0.35, ell = 30 passes at 9.7e-9 and
-    ell = 31 misses at 1.9e-8, at 60 digits as at 30. The shift must
-    satisfy 0 < a < 1/2; at a = 0 the two poles merge into one that this
-    construction does not cover.
+    worked at _DPS = 30 digits and rounded to float64. One float64 contour
+    of CONTOUR_NODES nodes around each pole checks them
+    (_float_contour_moments): radius a/4 around s = 1 and a/2 around the
+    order-ell pole s = 1-a. With the other pole at distance a, the rounding
+    of the k-th moment grows like (a/r)^k and the trapezoid's aliasing falls
+    like (r/a)^CONTOUR_NODES (Bornemann, Found. Comput. Math. 11, 2011;
+    Trefethen and Weideman, SIAM Rev. 56, 2014), so the order-ell pole
+    takes the wider circle. Where the check misses CONTOUR_REL_TOL,
+    PrecisionError names ell, a, both radii and the discrepancy. Measured,
+    the check passes up to ell = 33 for every a from 1e-8 to 0.4999, and
+    to ell = 40 at least for a >= 0.35. For a <= 1e-8 the ring overflows
+    float64 first: from ell = 34 at a = 1e-8, 26 at 1e-10, 22 at 1e-12 and
+    15 at 1e-16. The shift must satisfy 0 < a < 1/2; at a = 0 the two
+    poles merge into one that this construction does not cover.
     """
     if not (isinstance(ell, int) and ell >= 1):
         raise DomainError(f"ell must be a positive integer, got {ell!r}")
@@ -308,22 +284,18 @@ def main_terms(ell: int, a) -> MainTermPolynomial:
             f"main_terms takes a shift 0 < a < 1/2, got {a}; at a = 0 the two "
             "poles merge into one"
         )
-    r = min(a_f, 1.0 - a_f, 0.25) / 4.0
+    radii = (a_f / 4.0, a_f / 2.0)
     # pole s = 1 of order 4, then pole s = 1 - a of order ell, as the
-    # arguments (b, order, d, power) of _principal_part; both contours
-    # return their moments in this order
+    # arguments (b, order, d, power) of _principal_part; the contour
+    # returns its moments in this order
     poles = ((0.0, 4, a_f, ell), (a_f, ell, -a_f, 4))
     series = [_moments_to_coeffs(_principal_part(*pole)) for pole in poles]
-    route = "float64"
-    worst, leak = _check(series, _float_contour_moments(r, ell, a_f))
-    if worst > CONTOUR_REL_TOL:
-        route = "30 digits"
-        worst, leak = _check(series, _contour_moments(r, ell, a_f))
+    worst, leak = _check(series, _float_contour_moments(radii, ell, a_f))
     if worst > CONTOUR_REL_TOL:
         raise PrecisionError(
             f"main terms at ell={ell}, a={a_f:g}: series and contour coefficients "
-            f"differ by {worst:.3g} relative at contour radius {r:g}, "
-            f"over the tolerance {CONTOUR_REL_TOL:g}"
+            f"differ by {worst:.3g} relative at contour radii {radii[0]:g} "
+            f"and {radii[1]:g}, over the tolerance {CONTOUR_REL_TOL:g}"
         )
     return MainTermPolynomial(
         ell=ell,
@@ -331,9 +303,8 @@ def main_terms(ell: int, a) -> MainTermPolynomial:
         c_coeffs=tuple(series[0]),
         cprime_coeffs=tuple(series[1]),
         diagnostics={
-            "radius": r,
+            "radii": radii,
             "nodes": CONTOUR_NODES,
-            "route": route,
             "max_rel_discrepancy": worst,
             "max_imag_leak": leak,
         },
@@ -373,6 +344,14 @@ def _log_power_integral(k: int, N: float, sigma: float) -> float:
     return I
 
 
+def _complex_arg(s) -> mpc:
+    """s as an mpc; DomainError naming s if it is not a number."""
+    try:
+        return mpc(s)
+    except (TypeError, ValueError):
+        raise DomainError(f"s must be a complex number, got {s!r}") from None
+
+
 def series_tail_bound(ell: int, a, s, N: int) -> float:
     """Computed bound for the tail sum beyond N of the weighted series at s.
 
@@ -382,7 +361,11 @@ def series_tail_bound(ell: int, a, s, N: int) -> float:
     form, and applies a factor-3 margin for the fluctuation of the counts
     around that density.
     """
-    sigma = float(mp.re(mpc(s)))
+    if not (isinstance(ell, int) and ell >= 1):
+        raise DomainError(f"ell must be a positive integer, got {ell!r}")
+    if not (isinstance(N, int) and N >= 1):
+        raise DomainError(f"N must be a positive integer, got {N!r}")
+    sigma = float(mp.re(_complex_arg(s)))
     if not sigma > 1.05:  # written so that NaN fails
         raise DomainError(f"tail bound needs Re s > 1.05, got {sigma}")
     m = 4 + ell
@@ -408,7 +391,7 @@ def dirichlet_identity_check(
     returned tail_bound is the computed majorant from series_tail_bound;
     residuals sit below it, typically within a small factor.
     """
-    sC = mpc(s)
+    sC = _complex_arg(s)
     if not float(mp.re(sC)) >= 1.5:  # written so that NaN fails
         raise DomainError(f"need Re s >= 1.5, got {mp.re(sC)}")
     if not (isinstance(N, int) and N >= 10**4):

@@ -365,6 +365,16 @@ def test_exit_precision_error_alone_on_stderr():
     assert len(lines) == 1 and lines[0].startswith("precision error: "), proc.stderr
 
 
+def test_exit_divisor_check_misses_its_gate(capsys):
+    # at a = 1e-12 the main-terms check ring overflows float64 from ell = 22
+    # on; numpy warnings are errors in this suite, so none may come with it
+    rc, out, err = _run(capsys, ["divisor", "--ell", "22", "--a", "1e-12", "--ceiling", "20000"])
+    assert rc == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("precision error: "), err
+    assert "ell=22, a=1e-12" in lines[0]
+
+
 @pytest.mark.parametrize("trace", ["nan", "nan,1e-3", "1e-2,nan"])
 def test_exit_trace_nan_tolerance(capsys, trace):
     # NaN passes no comparison, so it must be rejected, not refined to the

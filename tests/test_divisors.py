@@ -50,7 +50,6 @@ def poly_1_04():
 
 @pytest.fixture(scope="module")
 def poly_20_035():
-    # float64 misses the gate here, so the 30-digit contour decides
     return main_terms(20, 0.35)
 
 
@@ -232,25 +231,24 @@ def test_simple_pole_coefficient_closed_form(poly_1_04):
 
 def test_main_terms_diagnostics(poly_2_035, poly_20_035):
     # the leak is each moment's imaginary part relative to its magnitude;
-    # float64 measured 4.3e-14 discrepancy and 2.2e-14 leak at (2, 0.35)
+    # measured 8.2e-15 discrepancy and 1.9e-15 leak at (2, 0.35), 2.1e-13
+    # and 4.1e-14 at (20, 0.35): each bound has a margin of about 10
     d = poly_2_035.diagnostics
-    assert d["route"] == "float64"
-    assert d["max_rel_discrepancy"] < 1e-12
-    assert d["max_imag_leak"] < 1e-12
+    assert d["radii"] == (0.0875, 0.175) and d["nodes"] == 64
+    assert d["max_rel_discrepancy"] < 1e-13
+    assert d["max_imag_leak"] < 2e-14
     d = poly_20_035.diagnostics
-    assert d["route"] == "30 digits"
-    assert d["max_rel_discrepancy"] < 1e-8
-    assert d["max_imag_leak"] < 1e-20
+    assert d["max_rel_discrepancy"] < 2e-12
+    assert d["max_imag_leak"] < 5e-13
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
-@pytest.mark.parametrize("a", [1e-4, 0.01, 0.2, 0.49, 0.4999])
+@pytest.mark.parametrize("a", [1e-8, 1e-4, 0.01, 0.2, 0.49, 0.4999])
 def test_leading_coefficients_closed_form(ell, a):
     # c_3 = zeta(1+a)^ell / 3! and c'_(ell-1) = zeta(1-a)^4 / ((1-a) (ell-1)!)
     # over the advertised shifts; the series must also pass its contour
-    # check, which float64 decides at these ell
+    # check
     poly = main_terms(ell, a)
-    assert poly.diagnostics["route"] == "float64"
     with mpmath.workdps(30):
         am = mpmath.mpf(a)
         c3 = float(mpmath.zeta(1 + am) ** ell / 6)
@@ -271,9 +269,8 @@ def test_unweighted_coefficients_closed_form(m):
 
 
 def test_main_terms_zeta_eval_budget(monkeypatch):
-    # the series route makes the main terms; zeta_eval only feeds the
-    # 30-digit check contour, taken where float64 misses the gate: one
-    # 32-node circle per pole, sharing zeta(1 + r z), three values per node
+    # the series route makes the main terms and the float64 contour checks
+    # them; neither calls zeta_eval, also at large ell
     calls = []
 
     def counting(*args, **kwargs):
@@ -281,11 +278,8 @@ def test_main_terms_zeta_eval_budget(monkeypatch):
         return zeta_eval(*args, **kwargs)
 
     monkeypatch.setattr(divisors, "zeta_eval", counting)
-    main_terms(2, 0.3)
-    assert calls == []
-    assert main_terms(16, 0.49).diagnostics["route"] == "30 digits"
-    assert 0 < len(calls) <= 96
-    calls.clear()
+    for ell, a in ((2, 0.3), (16, 0.49), (20, 0.35)):
+        main_terms(ell, a)
     _unweighted_main_coeffs.__wrapped__(7)
     assert calls == []
 
@@ -299,31 +293,34 @@ def test_main_terms_validation():
         main_terms(0, 0.3)
 
 
-def test_main_terms_gate_decides_as_before(poly_20_035):
-    # where float64 misses the gate, the 30-digit contour passes or raises
-    # with the discrepancy it gave when it was the only route
-    assert f"{poly_20_035.diagnostics['max_rel_discrepancy']:.2g}" == "3.8e-12"
-    with pytest.raises(PrecisionError, match=r"ell=31, a=0.35: .* differ by 1.92e-08 relative"):
-        main_terms(31, 0.35)
+def test_main_terms_gate_decides_as_before():
+    # the last points that passed when a 30-digit contour of 32 nodes
+    # decided past float64 must still pass, and (31, 0.35) passes now: its
+    # 1.92e-8 miss came from that contour's trapezoid, not from the series
+    for ell, a in ((14, 1e-8), (16, 0.25), (30, 0.35), (31, 0.35), (32, 0.49)):
+        worst = main_terms(ell, a).diagnostics["max_rel_discrepancy"]
+        assert worst < divisors.CONTOUR_REL_TOL, (ell, a, worst)
 
 
 def test_float_contour_overflow_misses_the_gate():
-    # at a = 1e-4, |zeta(1 + w)| ~ 1/r = 4e4 and its 70th power overflows:
+    # at a = 1e-12, |zeta(1 + w)| ~ 1/r = 2e12 and its 22nd power overflows:
     # the float64 moments come out non-finite, with no warning, and must
     # read as an infinite discrepancy, never as a pass
-    rings = divisors._float_contour_moments(2.5e-5, 70, 1e-4)
+    rings = divisors._float_contour_moments((2.5e-13, 5e-13), 22, 1e-12)
     assert not np.all(np.isfinite(rings[1]))
-    worst, _ = divisors._check([[1.0] * 4, [1.0] * 70], rings)
+    worst, _ = divisors._check([[1.0] * 4, [1.0] * 22], rings)
     assert worst == math.inf
 
 
 def test_main_terms_gate_names_the_point():
-    # at a = 0.35 the contour check misses its gate from ell = 31 on (ell =
-    # 30 passes at 9.7e-9, ell = 31 misses at 1.92e-8), at 60 digits as at
-    # 30, so the message names the inputs, not a digit count
+    # at a = 1e-12 the contour ring overflows float64 from ell = 22 on, so
+    # the check misses its gate there; the message names the inputs and
+    # both radii, not a digit count
     with pytest.raises(PrecisionError) as exc:
-        main_terms(32, 0.35)
-    assert re.search(r"ell=32, a=0.35: .* differ by \S+ relative at contour radius 0.0625", str(exc.value))
+        main_terms(22, 1e-12)
+    assert re.search(
+        r"ell=22, a=1e-12: .* differ by \S+ relative at contour radii 2.5e-13 and 5e-13", str(exc.value)
+    )
     assert "dps" not in str(exc.value)
 
 
@@ -402,6 +399,24 @@ def test_tail_bound_shrinks_with_n():
         series_tail_bound(2, 0.35, 1.0, 10**4)
     with pytest.raises(DomainError):
         series_tail_bound(2, 0.35, math.nan, 10**4)
+
+
+@pytest.mark.parametrize(
+    "check, args, name",
+    [
+        (series_tail_bound, (2, 0.35, 2.0, 0), "N"),
+        (series_tail_bound, (2, 0.35, 2.0, -5), "N"),
+        (series_tail_bound, (2, 0.35, 2.0, math.inf), "N"),
+        (series_tail_bound, (1.5, 0.35, 2.0, 10**4), "ell"),
+        (dirichlet_identity_check, (2, 0.35, "abc", 10**4), "s"),
+    ],
+    ids=["N=0", "N=-5", "N=inf", "ell=1.5", "s=abc"],
+)
+def test_identity_path_typed_errors(check, args, name):
+    # each bad argument is named by a DomainError, not by a math domain
+    # error, a TypeError or a silent NaN
+    with pytest.raises(DomainError, match=rf"^{name} must be"):
+        check(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -32,17 +32,20 @@ def test_line_zeta_matches_reference():
 
 
 def test_point_zeta_at_contour_nodes():
-    # every node of main_terms' three check circles, radius
-    # r = min(a, 1-a, 1/4)/4 around 1, 1 + a and 1 - a, so Re s goes down to
-    # 1 - a - r; the measured worst relative error is 4.2e-15 (a = 0.49)
+    # every node of main_terms' four check circles, at offsets u from the
+    # pole: radius a/4 around 0 and a, a/2 around -a and 0, so Re s goes
+    # down to 1 - 3a/2 (0.265 at a = 0.49); the reference is 40-digit
+    # zeta(1 + u) at the exact offset. Measured worst relative error
+    # 1.0e-14 (a = 0.49), so the bound has a margin of 2; rounding 1 + u
+    # before the pole term would miss it by 4.3e-4 at a = 1e-12
     n = divisors.CONTOUR_NODES
-    for a in (1e-4, 0.01, 0.2, 0.35, 0.49):
-        rz = min(a, 1 - a, 0.25) / 4 * np.exp(2j * np.pi * np.arange(n) / n)
-        s = np.concatenate([1 + rz, 1 + a + rz, 1 - a + rz])
-        got = _kernels.point_zeta(s)
-        with workdps(30):
-            ref = np.array([complex(mpmath.zeta(complex(x))) for x in s])
-        assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-14, a
+    z = np.exp(2j * np.pi * np.arange(n) / n)
+    for a in (1e-12, 1e-8, 1e-4, 0.01, 0.2, 0.35, 0.49, 0.4999):
+        u = np.concatenate([a / 4 * z, a + a / 4 * z, a / 2 * z - a, a / 2 * z])
+        got = _kernels.point_zeta(u)
+        with workdps(40):
+            ref = np.array([complex(mpmath.zeta(1 + mpc(x.real, x.imag))) for x in u])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 2e-14, a
 
 
 def _assert_rows_within_bound(ts):

@@ -88,8 +88,8 @@ def test_euler_maclaurin_vs_eta_grid(zeta_eval_alternating):
 
 def _near_pole_points():
     points = [complex(1 + 1e-12, 0), complex(1, 1e-12), complex(1 - 1e-9, 1e-9)]
-    # the nodes of main_terms' 30-digit check contour, its route where
-    # float64 misses the gate: radius a/4 around s = 1
+    # circles of radius a/4 around s = 1, inside the near-pole range that
+    # zeta_eval documents (|s - 1| down to 1e-12)
     for a in (0.01, 0.05, 0.2):
         points += [1 + a / 4 * cmath.exp(2j * cmath.pi * k / 32) for k in range(32)]
     return points
