@@ -52,7 +52,10 @@ def line_zeta(sigmas, ts: np.ndarray) -> np.ndarray:
     from his explicit remainder bound at RS_T_MIN. Measured costs for two
     lines of 21 nodes: Riemann-Siegel 0.25 to 0.5 ms at any t,
     Euler-Maclaurin 0.43 ms at t = 1e3, 2.2 ms at 1e4 and 27 ms at 1e5, so
-    the routes cross near t = 1000; RS_T_MIN sits higher (see there).
+    the routes cross near t = 1000; RS_T_MIN sits higher (see there). Most
+    of a 21-node Riemann-Siegel call is fixed numpy overhead: per node it
+    costs 12 to 15 us, but in the two-line batches that moments sends (399
+    nodes at t = 1e4, 231 at 3e4, 126 at 1e5) 3.0, 4.4 and 7.1 us.
 
     For sigma in [1/2, 1] and t up to T_CEILING = 1e5 the absolute error
     stays below 1e-12 + 1e-14 * t on both routes: the rounding of the phases

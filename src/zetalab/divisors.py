@@ -103,6 +103,14 @@ class DivisorLedger:
         return float(self.summatory[idx])
 
 
+def _shift_arg(a) -> float:
+    """The shift a as a float; DomainError naming a if it is not a number."""
+    try:
+        return float(a)
+    except (TypeError, ValueError):
+        raise DomainError(f"a must be a real number, got {a!r}") from None
+
+
 def weighted_divisor_table(ell: int, a, N: int) -> DivisorLedger:
     """Ledger for the weighted convolution with shift a in [0, 1/2).
 
@@ -115,7 +123,7 @@ def weighted_divisor_table(ell: int, a, N: int) -> DivisorLedger:
     """
     if not (isinstance(ell, int) and ell >= 1):
         raise DomainError(f"ell must be a positive integer, got {ell!r}")
-    a_f = float(a)
+    a_f = _shift_arg(a)
     if not (0.0 <= a_f < 0.5):
         raise DomainError(f"shift a must lie in [0, 1/2), got {a}")
     d4 = sieve_divisor_counts(4, N)
@@ -278,7 +286,7 @@ def main_terms(ell: int, a) -> MainTermPolynomial:
     """
     if not (isinstance(ell, int) and ell >= 1):
         raise DomainError(f"ell must be a positive integer, got {ell!r}")
-    a_f = float(a)
+    a_f = _shift_arg(a)
     if not (0.0 < a_f < 0.5):
         raise DomainError(
             f"main_terms takes a shift 0 < a < 1/2, got {a}; at a = 0 the two "
@@ -398,7 +406,7 @@ def dirichlet_identity_check(
         raise DomainError(f"need an integer N >= 10^4, got {N!r}")
     if ledger is None:
         ledger = weighted_divisor_table(ell, a, N)
-    elif ledger.N < N or ledger.ell != ell or float(ledger.a) != float(a):
+    elif ledger.N < N or ledger.ell != ell or float(ledger.a) != _shift_arg(a):
         raise DomainError("ledger does not match the requested configuration")
     n = np.arange(1, N + 1, dtype=np.float64)
     sc = complex(sC)

@@ -15,13 +15,16 @@ ascending interval order, so a run's totals do not depend on the order in
 which its panels were bisected and are reproducible bit for bit for a given
 configuration.
 
-Node values come from the float64 line-batch kernel, one call per panel
-for both vertical lines: Euler-Maclaurin for a panel with a node below
-_kernels.RS_T_MIN = 3000, Riemann-Siegel for one whose nodes all lie at or
-above it. Both keep the abs error below 1e-12 + 1e-14 * t up to T_CEILING
-(measured against mpmath.zeta: at most 2.7e-15 * t and 1.3e-15 * t), far
-below any quadrature tolerance accepted here; a panel is about 0.4 ms at
-any t on the second route, so [0, T_CEILING] takes about 31 s. The
+Node values come from the float64 line-batch kernel, for both vertical
+lines in one call: Euler-Maclaurin for a panel with a node below
+_kernels.RS_T_MIN = 3000, one call per panel, and Riemann-Siegel for
+panels whose nodes all lie at or above it, several consecutive panels per
+call up to _RS_CHUNK_CELLS phase-matrix cells. Both keep the abs error
+below 1e-12 + 1e-14 * t up to T_CEILING (measured against mpmath.zeta: at
+most 2.7e-15 * t and 1.3e-15 * t), far below any quadrature tolerance
+accepted here. A single Riemann-Siegel panel costs about 0.3 ms at any t;
+in shared calls a panel costs 0.06 ms at t = 1e4 and 0.15 ms at T_CEILING,
+so [0, T_CEILING] takes 11 to 16 s (30 to 44 s with one call per panel). The
 25-digit path in zetanum is used by the test suite to validate that
 kernel, not per node.
 """
@@ -45,6 +48,14 @@ REL_TOL_FLOOR = 1.0e-6
 # about 77,000 ([0, T_CEILING] takes 69,035), so every window starts
 # below the budget.
 PANEL_CEILING = 200_000
+# Riemann-Siegel panels share one line_zeta call up to this many cells of
+# its phase matrix (nodes times floor(sqrt(t / 2 pi))): 6 panels at
+# T_CEILING, 19 at t = 1e4. Measured in process on one core of a 2-core
+# x86_64 host over the moment-high-t benchmark windows, median job time
+# against the budget: 9.3 ms at 2,646 (one panel at T_CEILING), 4.5 ms at
+# 8,000, 3.9 ms at 16,000 and 3.7 ms at 42,336, while peak RSS rose by
+# 0.1, 0.8 and 2.1 MB over single-panel calls.
+_RS_CHUNK_CELLS = 16_000
 
 # Gauss-Kronrod 10-21 on [-1, 1], as in QUADPACK's dqk21 (Piessens et
 # al., 1983): the Kronrod abscissae from the largest down to 0 and their
@@ -111,12 +122,16 @@ class MomentSample:
 
 
 def _integrand(ts: np.ndarray, sigma: float, j: int) -> np.ndarray:
-    # one kernel call for both vertical lines; only the half line when
-    # j = 0, so an unused sigma = 1 line is never evaluated at the pole
+    # one kernel call for both vertical lines, over every node of ts; only
+    # the half line when j = 0, so an unused sigma = 1 line is never
+    # evaluated at the pole
+    flat = ts.ravel()
     if j == 0:
-        return np.abs(_kernels.line_zeta([0.5], ts)[0]) ** (4 + 2 * j)
-    half, line = np.abs(_kernels.line_zeta([0.5, sigma], ts))
-    return half**4 * line ** (2 * j)
+        out = np.abs(_kernels.line_zeta([0.5], flat)[0]) ** (4 + 2 * j)
+    else:
+        half, line = np.abs(_kernels.line_zeta([0.5, sigma], flat))
+        out = half**4 * line ** (2 * j)
+    return out.reshape(ts.shape)
 
 
 def _panel_width(t: float) -> float:
@@ -124,24 +139,63 @@ def _panel_width(t: float) -> float:
     return 4.0 * math.pi / max(1.2, math.log(max(t, 20.0) / (2.0 * math.pi)))
 
 
-def _eval_panel(a: float, b: float, sigma: float, j: int) -> tuple[float, float, int]:
-    """K21 value, error estimate h * |K21 - G10| and node count for [a, b].
+def _chunks(panels):
+    """Split panels [a, b], in order, into lists that share one kernel call.
 
-    A power that overflows float64 gives inf, and inf - inf in a weighted
-    sum NaN; either raises PrecisionError here, without a numpy warning.
+    A run of consecutive panels whose smallest node is at or above RS_T_MIN
+    shares a call while its phase matrix, nodes times
+    floor(sqrt(b_max / 2 pi)), stays within _RS_CHUNK_CELLS. Any other panel
+    is a chunk of its own: its Euler-Maclaurin cutoff follows its own
+    largest node.
     """
-    mid = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = _integrand(mid + h * _K21_NODES, sigma, j)
-        kronrod = h * float(_K21_WEIGHTS @ vals)
-        gauss = h * float(_G10_WEIGHTS @ vals[1::2])
-    if not (math.isfinite(kronrod) and math.isfinite(gauss)):
-        raise PrecisionError(
-            f"panel [{a:g}, {b:g}] at sigma = {sigma:g}, j = {j} is not finite in "
-            "float64; lower j or move t_lo away from 0"
-        )
-    return kronrod, abs(kronrod - gauss), vals.size
+    chunk: list = []
+    top = 0.0
+    for a, b in panels:
+        mid, h = 0.5 * (a + b), 0.5 * (b - a)
+        if mid + h * _K21_NODES[0] < _kernels.RS_T_MIN:
+            if chunk:
+                yield chunk
+                chunk = []
+            yield [(a, b)]
+            continue
+        top = max(top, b) if chunk else b
+        cells = (len(chunk) + 1) * _K21_NODES.size * math.floor(math.sqrt(top / (2.0 * math.pi)))
+        if chunk and cells > _RS_CHUNK_CELLS:
+            yield chunk
+            chunk, top = [], b
+        chunk.append((a, b))
+    if chunk:
+        yield chunk
+
+
+def _eval_panels(panels, sigma: float, j: int):
+    """(a, b, K21 value, error estimate h * |K21 - G10|, node count) for
+    each panel [a, b], yielded in order, one kernel call per chunk (_chunks).
+
+    A chunk is evaluated only when its first result is asked for, so the
+    caller holds one chunk's results at a time. A power that overflows
+    float64 gives inf, and inf - inf in a weighted sum NaN; either raises
+    PrecisionError for the first such panel, without a numpy warning.
+    """
+    for chunk in _chunks(panels):
+        ends = np.array(chunk)
+        mid = 0.5 * (ends[:, 0] + ends[:, 1])
+        h = 0.5 * (ends[:, 1] - ends[:, 0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = _integrand(mid[:, None] + h[:, None] * _K21_NODES, sigma, j)
+            # yielded after the errstate block, which would otherwise stay
+            # in force in the caller while this generator waits
+            results = []
+            for (a, b), hk, v in zip(chunk, h.tolist(), vals):
+                kronrod = hk * float(_K21_WEIGHTS @ v)
+                gauss = hk * float(_G10_WEIGHTS @ v[1::2])
+                if not (math.isfinite(kronrod) and math.isfinite(gauss)):
+                    raise PrecisionError(
+                        f"panel [{a:g}, {b:g}] at sigma = {sigma:g}, j = {j} is not finite "
+                        "in float64; lower j or move t_lo away from 0"
+                    )
+                results.append((a, b, kronrod, abs(kronrod - gauss), v.size))
+        yield from results
 
 
 def _validate(t_lo: float, t_hi: float, sigma: float, j: int, rel_tols: list[float]) -> None:
@@ -202,16 +256,17 @@ def hybrid_moment_trace(
     running_val = 0.0
     running_err = 0.0
 
-    def add_panel(a: float, b: float) -> None:
+    def add_panels(panels) -> None:
+        # each result goes onto the heap as it comes, so the initial panels
+        # are never all held as results
         nonlocal evals, running_val, running_err
-        value, err, n = _eval_panel(a, b, sigma, j)
-        evals += n
-        heapq.heappush(heap, (-err, a, b, value))
-        running_val += value
-        running_err += err
+        for a, b, value, err, n in _eval_panels(panels, sigma, j):
+            evals += n
+            heapq.heappush(heap, (-err, a, b, value))
+            running_val += value
+            running_err += err
 
-    for a, b in zip(edges, edges[1:]):
-        add_panel(a, b)
+    add_panels(zip(edges, edges[1:]))
 
     snapshots: list[MomentSample] = []
     for tol in tols:
@@ -220,8 +275,7 @@ def hybrid_moment_trace(
             running_val -= old_value
             running_err -= -neg
             mid = 0.5 * (a + b)
-            add_panel(a, mid)
-            add_panel(mid, b)
+            add_panels([(a, mid), (mid, b)])
             refinements += 1
         # reduction in ascending interval order: reproducible bit for bit
         value = 0.0

@@ -419,6 +419,23 @@ def test_identity_path_typed_errors(check, args, name):
         check(*args)
 
 
+@pytest.mark.parametrize(
+    "check, args",
+    [
+        (weighted_divisor_table, (1, "abc", 100)),
+        (main_terms, (1, "abc")),
+        (main_terms, (1, None)),
+        (dirichlet_identity_check, (2, "abc", 2.0, 10**4)),
+    ],
+    ids=["weighted_divisor_table", "main_terms-str", "main_terms-None", "dirichlet_identity_check"],
+)
+def test_shift_must_be_a_number(check, args):
+    # a shift that is not a number is named by a DomainError, not by the
+    # ValueError or TypeError of float()
+    with pytest.raises(DomainError, match=r"^a must be a real number"):
+        check(*args)
+
+
 # ---------------------------------------------------------------------------
 # Error terms and trend reports.
 # ---------------------------------------------------------------------------

@@ -167,6 +167,97 @@ def test_overflowing_panel_raises_at_once(monkeypatch):
             moments.hybrid_moment(0.01, 1.0, 1.0, 200)
 
 
+def _phase_rule_panels(t_lo, t_hi):
+    edges = [t_lo]
+    while edges[-1] < t_hi:
+        edges.append(min(t_hi, edges[-1] + moments._panel_width(edges[-1])))
+    return list(zip(edges, edges[1:]))
+
+
+@pytest.mark.parametrize("t_lo, t_hi", [(1.0e4, 1.05e4), (9.9e4, 1.0e5)])
+@pytest.mark.parametrize("sigma, j", [(0.75, 1), (0.5, 0), (1.0, 2)])
+def test_batched_panels_match_single_panels(t_lo, t_hi, sigma, j):
+    # one kernel call per chunk changes only the BLAS shape of the main
+    # sums: each panel keeps its value to rounding, and its estimate moves
+    # by rounding of the value it estimates
+    panels = _phase_rule_panels(t_lo, t_hi)
+    batched = list(moments._eval_panels(panels, sigma, j))
+    single = [next(moments._eval_panels([panel], sigma, j)) for panel in panels]
+    assert len(batched) == len(single) == len(panels)
+    for (a, b, value, err, n), (a1, b1, value1, err1, n1) in zip(batched, single):
+        assert (a, b, n) == (a1, b1, n1) == (a, b, 21)
+        assert abs(value - value1) <= 1e-14 * value1
+        assert abs(err - err1) <= 1e-14 * value1
+    est, est1 = sum(r[3] for r in batched), sum(r[3] for r in single)
+    assert abs(est - est1) <= 1e-9 * est1
+
+
+def test_panel_straddling_rs_t_min_goes_alone(monkeypatch):
+    # a panel with a node below RS_T_MIN keeps its own Euler-Maclaurin call
+    # (and cutoff); only panels wholly on the Riemann-Siegel side share one
+    em_calls, rs_calls = [], []
+    em, rs = _kernels._euler_maclaurin, _kernels._riemann_siegel
+
+    def record_em(sig, ts):
+        em_calls.append(ts.copy())
+        return em(sig, ts)
+
+    def record_rs(sig, ts):
+        rs_calls.append(ts.copy())
+        return rs(sig, ts)
+
+    monkeypatch.setattr(_kernels, "_euler_maclaurin", record_em)
+    monkeypatch.setattr(_kernels, "_riemann_siegel", record_rs)
+    moments.hybrid_moment(2990.0, 3100.0, 0.75, 1, rel_tol=1e-4)
+    straddling = [ts for ts in em_calls if ts.max() > _kernels.RS_T_MIN]
+    assert len(straddling) == 1
+    assert all(ts.size == 21 and ts.min() < _kernels.RS_T_MIN for ts in em_calls)
+    assert all(ts.min() >= _kernels.RS_T_MIN for ts in rs_calls)
+    assert max(ts.size for ts in rs_calls) > 21
+
+
+@pytest.mark.parametrize(
+    "t_lo, t_hi, sigma, j",
+    [(1.0e4, 1.0e4 + 50.0, 0.5, 3), (5.0e4, 5.0e4 + 30.0, 1.0, 4), (9.9e4, 1.0e5, 0.5, 4)],
+)
+def test_kernel_calls_per_chunk(monkeypatch, t_lo, t_hi, sigma, j):
+    # initial panels share calls up to the cell budget, and a bisection
+    # evaluates both halves in one call
+    calls = []
+    line_zeta = _kernels.line_zeta
+
+    def counted(sigmas, ts):
+        calls.append((len(ts), math.floor(math.sqrt(max(ts) / (2 * math.pi)))))
+        return line_zeta(sigmas, ts)
+
+    monkeypatch.setattr(_kernels, "line_zeta", counted)
+    stats = moments.hybrid_moment(t_lo, t_hi, sigma, j, rel_tol=1e-6).step_stats
+    per_call = moments._RS_CHUNK_CELLS // (21 * math.floor(math.sqrt(t_hi / (2 * math.pi))))
+    assert len(calls) <= math.ceil(stats["initial_panels"] / per_call) + stats["refinements"]
+    assert sum(n for n, _m in calls) == stats["node_evals"]
+    assert max(n * m for n, m in calls) <= moments._RS_CHUNK_CELLS
+    assert stats["refinements"] > 0
+
+
+def test_precision_error_names_the_same_panel():
+    # at j = 150 a panel in the middle of a chunk overflows; the batched
+    # run names the first such panel, as panel-by-panel evaluation does
+    panels = _phase_rule_panels(1.0e4, 1.05e4)
+    first = None
+    for panel in panels:
+        try:
+            next(moments._eval_panels([panel], 0.5, 150))
+        except PrecisionError as exc:
+            first = str(exc)
+            break
+    assert first is not None and panel != panels[0]
+    starts = set(np.cumsum([0] + [len(c) for c in moments._chunks(panels)]).tolist())
+    assert panels.index(panel) not in starts
+    with pytest.raises(PrecisionError) as raised:
+        moments.hybrid_moment(1.0e4, 1.05e4, 0.5, 150)
+    assert str(raised.value) == first
+
+
 def test_sample_invariants():
     with pytest.raises(ValueError):
         moments.MomentSample(0.0, 10.0, 0.5, 0, -1.0, 0.0)
