@@ -5,11 +5,15 @@ The weighted divisor function here is the Dirichlet convolution of the
 4-dimensional divisor counts with ell-dimensional counts damped by e^(-a):
 its generating series is zeta(s)^4 * zeta(s+a)^ell, so it is
 multiplicative, and its table, like the divisor-count tables, comes from
-the prime-power sieve in _kernels. Main terms come from
+the prime-power sieve in _kernels; a ledger holds that one table and its
+running summatory. Main terms come from
 the residues of that series times X^s/s at s = 1 (pole of order 4) and
 s = 1 - a (pole of order ell), read off products of truncated power series
 of zeta around each pole and checked in float64 against one contour per
-pole, whose zeta values come from one vectorised call. The error term is
+pole, whose zeta values come from one vectorised call. The series of zeta
+(its regular part at 1, which holds the Stieltjes constants, and its
+Taylor coefficients at 1 +- a) come from one Euler-Maclaurin pass in
+power-series arithmetic, _zeta_series. The error term is
 the exact summatory minus both evaluated main-term polynomials.
 """
 
@@ -21,7 +25,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from mpmath import mp, mpc, mpf, workdps
+from mpmath import mp, mpc, mpf, workdps, workprec
 
 from . import _kernels
 from .errors import CeilingError, DomainError, PrecisionError
@@ -60,6 +64,18 @@ def _largest_divisor_count(k: int, N: int, i: int = 0, cap: int = 64) -> int:
     return best
 
 
+def _check_table_size(N: int, *ks: int) -> None:
+    """DomainError unless N is a positive integer, CeilingError above
+    N_CEILING or when some d_k(n), n <= N, would not fit in int64."""
+    if not (isinstance(N, int) and N >= 1):
+        raise DomainError(f"N must be a positive integer, got {N!r}")
+    if N > N_CEILING:
+        raise CeilingError(f"N = {N} exceeds the table ceiling {N_CEILING}")
+    for k in ks:
+        if _largest_divisor_count(k, N) > np.iinfo(np.int64).max:
+            raise CeilingError(f"d_{k}(n) for n <= {N} exceeds the int64 range of the table")
+
+
 def sieve_divisor_counts(k: int, N: int) -> np.ndarray:
     """Table of k-dimensional divisor counts for n = 1..N (index 0 unused).
 
@@ -69,12 +85,7 @@ def sieve_divisor_counts(k: int, N: int) -> np.ndarray:
     """
     if not (isinstance(k, int) and k >= 1):
         raise DomainError(f"k must be a positive integer, got {k!r}")
-    if not (isinstance(N, int) and N >= 1):
-        raise DomainError(f"N must be a positive integer, got {N!r}")
-    if N > N_CEILING:
-        raise CeilingError(f"N = {N} exceeds the table ceiling {N_CEILING}")
-    if _largest_divisor_count(k, N) > np.iinfo(np.int64).max:
-        raise CeilingError(f"d_{k}(n) for n <= {N} exceeds the int64 range of the table")
+    _check_table_size(N, k)
     counts = [math.comb(v + k - 1, k - 1) for v in range(N.bit_length())]
     return _kernels.multiplicative_table(
         N, lambda p, vmax: np.array(counts[: vmax + 1], dtype=np.int64), np.int64
@@ -83,15 +94,26 @@ def sieve_divisor_counts(k: int, N: int) -> np.ndarray:
 
 @dataclass
 class DivisorLedger:
-    """Sieve tables, the weighted combination, and its running summatory."""
+    """One table, the weighted values combined[n] for n <= N, and its
+    running summatory."""
 
     ell: int
     a: float
     N: int
-    d4_table: np.ndarray
-    dell_table: np.ndarray
     combined: np.ndarray
     summatory: np.ndarray
+
+    # Read only by perfbench's tracer, which sizes the ledger by them; they
+    # go once that tracer reads the program's own counters (ROADMAP item 5).
+    @property
+    def d4_table(self) -> np.ndarray:
+        """d_4(n) for n <= N, sieved on every read."""
+        return sieve_divisor_counts(4, self.N)
+
+    @property
+    def dell_table(self) -> np.ndarray:
+        """d_ell(n) for n <= N, sieved on every read."""
+        return sieve_divisor_counts(self.ell, self.N)
 
     def summatory_at(self, X: float) -> float:
         """Sum of the weighted divisor values over n <= X (0 below 1)."""
@@ -126,8 +148,9 @@ def weighted_divisor_table(ell: int, a, N: int) -> DivisorLedger:
     a_f = _shift_arg(a)
     if not (0.0 <= a_f < 0.5):
         raise DomainError(f"shift a must lie in [0, 1/2), got {a}")
-    d4 = sieve_divisor_counts(4, N)
-    dell = sieve_divisor_counts(ell, N)
+    # the checks that the d_4 and d_ell sieves made when the ledger held
+    # them, so the same inputs raise the same errors
+    _check_table_size(N, 4, ell)
     c4 = [math.comb(v + 3, 3) for v in range(N.bit_length())]
     cl = [math.comb(i + ell - 1, ell - 1) for i in range(N.bit_length())]
 
@@ -145,8 +168,6 @@ def weighted_divisor_table(ell: int, a, N: int) -> DivisorLedger:
         ell=ell,
         a=a_f,
         N=N,
-        d4_table=d4,
-        dell_table=dell,
         combined=combined,
         summatory=summatory,
     )
@@ -163,28 +184,177 @@ def _series_product(x: list, y: list) -> list:
     return [mp.fsum(x[i] * y[k - i] for i in range(k + 1)) for k in range(len(x))]
 
 
+# Guard bits of _zeta_series: its fixed-point sums lose at most a few bits
+# to the roundings of each product, and its N-term sums cancel at most
+# about N^2 times the size of the result, with N below 2^10.
+_SERIES_GUARD_BITS = 30
+
+
+@lru_cache(maxsize=None)
+def _em_plan(K: int, prec: int) -> tuple[int, int]:
+    """Euler-Maclaurin cut (N, M) for _zeta_series: N - 1 terms of the sum
+    and M tail terms, so that each of the K coefficients errs by at most
+    2^(-prec), at every centre c in [1/2, 3/2].
+
+    The remainder after M tail terms obeys |R_M(s)| <= |B_2M| / (2M)! *
+    |(s)_2M| * N^(1-sigma-2M) / (sigma+2M-1), and |B_2M| / (2M)! =
+    2 zeta(2M) / (2 pi)^2M <= (pi^2/3) / (2 pi)^2M. Bounded on the disc
+    |u| <= r around c, where |s| <= 3/2 + r and sigma >= 1/2 - r, it bounds
+    coefficient k of R_M(c + u) by Cauchy's estimate, divided by r^k.
+    Over r in {1/4, 1/2, 1} and 2M <= N, N and M take the pair that meets
+    2^(-prec) at the least cost, N (K + 50) + 3 M K integer products: a
+    term of the sum costs one mpmath exponential (about 50 products) and K
+    products, a tail term three series updates. With 2M <= N every
+    coefficient of (c + u)_(2j-1) N^(1-2j) stays below 2 in size, so the
+    fixed-point B_2j/(2j)! lose nothing to it.
+    """
+    target = -prec * math.log(2.0)
+    best = None
+    for r in (0.25, 0.5, 1.0):
+        x, sigma = 1.5 + r, 0.5 - r
+        per_k = -(K - 1) * math.log(r) if r < 1 else 0.0
+        for N in range(2, 1024):
+            for M in range(1, N // 2 + 1):
+                log_bound = (
+                    math.log(math.pi**2 / 3)
+                    - 2 * M * math.log(2 * math.pi)
+                    + math.lgamma(x + 2 * M)
+                    - math.lgamma(x)
+                    + (1 - sigma - 2 * M) * math.log(N)
+                    - math.log(sigma + 2 * M - 1)
+                    + per_k
+                )
+                if log_bound <= target:
+                    cost = N * (K + 50) + 3 * M * K
+                    if best is None or cost < best[0]:
+                        best = (cost, N, M)
+                    break
+            if best is not None and N * (K + 50) > best[0]:
+                break
+    return best[1], best[2]
+
+
+@lru_cache(maxsize=None)
+def _em_tables(N: int, M: int, W: int) -> tuple[list, list, list]:
+    """log n for n = 1..N, as mpf and in W-bit fixed point, and
+    B_2j / (2j)! for j = 1..M in W-bit fixed point, built on the first call
+    that needs them."""
+    with workprec(W + 10):
+        logs = [mp.log(n) for n in range(1, N + 1)]
+        bern = [mp.bernoulli(2 * j) / mp.factorial(2 * j) for j in range(1, M + 1)]
+        return logs, [_to_fixed(x, W) for x in logs], [_to_fixed(x, W) for x in bern]
+
+
+def _to_fixed(x: mpf, W: int) -> int:
+    # x times 2^W, truncated to an integer
+    return int(mp.ldexp(x, W))
+
+
+def _zeta_series(c, K: int) -> list[mpf]:
+    """Taylor coefficients of zeta(c + u) in u, k = 0..K-1, for real c in
+    [1/2, 3/2] at the working precision; at c = 1 those of the regular part
+    zeta(1 + u) - 1/u, whose coefficient k is (-1)^k gamma_k / k! with
+    gamma_k the Stieltjes constants.
+
+    Euler-Maclaurin in power-series arithmetic (Johansson, Numer. Algorithms
+    69, 2015): with s = c + u,
+      zeta(s) = sum over n < N of n^(-s) + N^(1-s)/(s-1) + N^(-s)/2
+                + sum over j <= M of B_2j/(2j)! (s)_(2j-1) N^(1-s-2j) + R_M,
+    where n^(-s) = n^(-c) exp(-u log n), the pole term is N^(1-c) exp(-u log N)
+    times 1/(c - 1 + u) (at c = 1, (exp(-u log N) - 1)/u) and the rising
+    factorials are series in u. _em_plan picks N and M so that the
+    truncation moves each coefficient by at most 2^(-prec). The sums and
+    the tail run in fixed point, as integers scaled by 2^W with W = prec +
+    _SERIES_GUARD_BITS, each product rounded by at most 2^(-W); the pole
+    series, which grows like (c - 1)^(-k), runs in mpf at W bits. The
+    regular part at c = 1, a constant, is cached by (K, prec).
+    """
+    if K < 1:
+        return []
+    c = mpf(c)
+    if c == 1:
+        return list(_regular_part(K, mp.prec))
+    return list(_em_series(c, K, mp.prec))
+
+
+@lru_cache(maxsize=None)
+def _regular_part(K: int, prec: int) -> tuple:
+    return _em_series(mpf(1), K, prec)
+
+
+def _em_series(c: mpf, K: int, prec: int) -> tuple:
+    N, M = _em_plan(K, prec)
+    W = prec + _SERIES_GUARD_BITS
+    logs, lfix, bfix = _em_tables(N, M, W)
+    one = 1 << W
+    with workprec(W):
+        # sum over n < N of n^(-c) (-log n)^k
+        acc = [one] + [0] * (K - 1)
+        for L, Lf in zip(logs[1 : N - 1], lfix[1 : N - 1]):
+            t = _to_fixed(mp.exp(-c * L), W)
+            acc[0] += t
+            for k in range(1, K):
+                t = (-t * Lf) >> W
+                acc[k] += t
+        # E(u) = N^(-u), coefficient k (-log N)^k / k!
+        E = [one]
+        for k in range(1, K + 1):
+            E.append(((-E[-1] * lfix[N - 1]) >> W) // k)
+        # T(u) = 1/2 + sum over j of B_2j/(2j)! (c + u)_(2j-1) N^(1-2j);
+        # rising holds (c + u)_(2j-1) N^(1-2j), below 2 since 2M <= N
+        cf = _to_fixed(c, W)
+        T = [one >> 1] + [0] * (K - 1)
+        rising = ([cf, one] + [0] * (K - 2))[:K]
+        rising = [x // N for x in rising]
+        for j, b in enumerate(bfix, start=1):
+            for k in range(K):
+                T[k] += (b * rising[k]) >> W
+            for alpha in (cf + (2 * j - 1) * one, cf + 2 * j * one):
+                rising = [(alpha * rising[0]) >> W] + [
+                    ((alpha * rising[k]) >> W) + rising[k - 1] for k in range(1, K)
+                ]
+            rising = [x // (N * N) for x in rising]
+        NmC = mp.exp(-c * logs[N - 1])
+        NmCf = _to_fixed(NmC, W)
+        # the pole term over N^(-c): N E(u) / (c - 1 + u)
+        w = c - 1
+        Em = [mp.ldexp(x, -W) for x in E]
+        if w == 0:
+            pole = Em[1:]
+        else:
+            pole = [Em[0] / w]
+            for k in range(1, K):
+                pole.append((Em[k] - pole[-1]) / w)
+        out = []
+        for k in range(K):
+            ET = sum(E[i] * T[k - i] for i in range(k + 1)) >> W
+            fixed = acc[k] // math.factorial(k) + ((NmCf * ET) >> W)
+            out.append(mp.ldexp(fixed, -W) + NmC * N * pole[k])
+    return tuple(+x for x in out)
+
+
 def _principal_part(b, order: int, d, power: int) -> list[mpf]:
     """Principal-part coefficients f_{-1}..f_{-order} of
     zeta(s+b)^order * zeta(s+b+d)^power / s at its pole s = 1-b.
 
     In u = s - (1-b) the function is u^(-order) G(u), where G multiplies
-    the truncated series (u zeta(1+u))^order from the Stieltjes constants,
-    zeta(1+d+u)^power from the Taylor coefficients of zeta at 1+d, and
+    the truncated series (u zeta(1+u))^order, zeta(1+d+u)^power and
     1/(1-b+u) as a geometric series; f_{-i} is the u^(order-i) coefficient
-    of G.
+    of G. The series of zeta come from _zeta_series: at 1 the regular part,
+    which gives the Stieltjes constants, and at 1+d the Taylor
+    coefficients. No mpmath special function is called beyond log, exp
+    and the Bernoulli numbers.
     """
     with _MP_LOCK:
         with workdps(_DPS + 10):
             pole = 1 - mpf(b)
             # u zeta(1+u) = 1 + sum over j of (-1)^j gamma_j / j! * u^(j+1)
-            laurent = [mpf(1)] + [
-                (-1) ** j * mp.stieltjes(j) / mp.factorial(j) for j in range(order - 1)
-            ]
+            laurent = [mpf(1)] + _zeta_series(1, order - 1)
             g = [(-1) ** k / pole ** (k + 1) for k in range(order)]
             for _ in range(order):
                 g = _series_product(g, laurent)
             if power:
-                taylor = [mp.zeta(1 + mpf(d), 1, k) / mp.factorial(k) for k in range(order)]
+                taylor = _zeta_series(1 + mpf(d), order)
                 for _ in range(power):
                     g = _series_product(g, taylor)
             return [g[order - i] for i in range(1, order + 1)]

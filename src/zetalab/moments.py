@@ -190,12 +190,26 @@ def _eval_panels(panels, sigma: float, j: int):
                 kronrod = hk * float(_K21_WEIGHTS @ v)
                 gauss = hk * float(_G10_WEIGHTS @ v[1::2])
                 if not (math.isfinite(kronrod) and math.isfinite(gauss)):
-                    raise PrecisionError(
-                        f"panel [{a:g}, {b:g}] at sigma = {sigma:g}, j = {j} is not finite "
-                        "in float64; lower j or move t_lo away from 0"
-                    )
+                    raise PrecisionError(_overflow_message(a, b, sigma, j))
                 results.append((a, b, kronrod, abs(kronrod - gauss), v.size))
         yield from results
+
+
+def _overflow_message(a: float, b: float, sigma: float, j: int) -> str:
+    """Why the integrand overflowed float64 on panel [a, b], and what helps.
+
+    (s - 1) zeta(s) is about 1 near the pole s = 1, so within distance 1 of
+    it |zeta(sigma + it)| is about 1 / |s - 1| and moving t_lo away from 0
+    shrinks it. Farther out |zeta| grows only slowly with t, and the power
+    2j is what overflows.
+    """
+    where = f"panel [{a:g}, {b:g}] at sigma = {sigma:g}, j = {j} is not finite in float64"
+    if math.hypot(1.0 - sigma, a) < 1.0:
+        return (
+            f"{where}: near the pole s = 1, |zeta(sigma + it)|^(2j) grows like "
+            "|s - 1|^(-2j); lower j or move t_lo away from 0"
+        )
+    return f"{where}: |zeta(sigma + it)|^(2j) exceeds float64 at this j; lower j"
 
 
 def _validate(t_lo: float, t_hi: float, sigma: float, j: int, rel_tols: list[float]) -> None:

@@ -149,8 +149,8 @@ def test_weighted_table_matches_convolution(ell, a, dirichlet_convolution):
     N = 10**5
     ledger = weighted_divisor_table(ell, a, N)
     weights = np.zeros(N + 1)
-    weights[1:] = ledger.dell_table[1:] * np.arange(1.0, N + 1) ** -a
-    ref = dirichlet_convolution(ledger.d4_table, weights)
+    weights[1:] = sieve_divisor_counts(ell, N)[1:] * np.arange(1.0, N + 1) ** -a
+    ref = dirichlet_convolution(sieve_divisor_counts(4, N), weights)
     assert ledger.combined[0] == 0.0
     rel = np.abs(ledger.combined[1:] - ref[1:]) / ref[1:]
     assert float(rel.max()) <= 1e-14
@@ -197,9 +197,68 @@ def test_weighted_table_validation():
         weighted_divisor_table(1, 0.5, 100)
 
 
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((2, 0.35, 0), DomainError, "N must be a positive integer, got 0"),
+        ((2, 0.35, 1.5), DomainError, "N must be a positive integer, got 1.5"),
+        ((2, 0.35, "x"), DomainError, "N must be a positive integer, got 'x'"),
+        ((2, 0.35, N_CEILING + 1), CeilingError, f"N = {N_CEILING + 1} exceeds the table ceiling {N_CEILING}"),
+        ((200, 0.1, 10**6), CeilingError, "d_200(n) for n <= 1000000 exceeds the int64 range of the table"),
+    ],
+    ids=["N=0", "N=1.5", "N=x", "N=ceiling+1", "int64-guard"],
+)
+def test_weighted_table_typed_errors(args, error, message):
+    # the ledger sieves no d_4 or d_ell table, yet a bad N or an ell whose
+    # counts overflow int64 raises the error and message the sieves raised
+    with pytest.raises(error) as raised:
+        weighted_divisor_table(*args)
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_ledger_builds_one_table(monkeypatch):
+    # one multiplicative table per ledger and no divisor-count sieve; the
+    # d_4 and d_ell tables are sieved only when read
+    tables, sieves = [], []
+    table = divisors._kernels.multiplicative_table
+    sieve = divisors.sieve_divisor_counts
+    monkeypatch.setattr(divisors._kernels, "multiplicative_table", lambda *a: tables.append(a) or table(*a))
+    monkeypatch.setattr(divisors, "sieve_divisor_counts", lambda *a: sieves.append(a) or sieve(*a))
+    ledger = weighted_divisor_table(3, 0.2, 5000)
+    assert len(tables) == 1 and sieves == []
+    assert np.array_equal(ledger.d4_table, sieve(4, 5000))
+    assert np.array_equal(ledger.dell_table, sieve(3, 5000))
+    assert sieves == [(4, 5000), (3, 5000)]
+
+
 # ---------------------------------------------------------------------------
 # Main-term polynomials from the Laurent-series route.
 # ---------------------------------------------------------------------------
+
+
+def test_zeta_series_against_mpmath():
+    # Stieltjes constants and Taylor coefficients from the one
+    # Euler-Maclaurin pass, at the main terms' 40 digits, against mpmath's
+    # own routines at 50 digits; measured worst relative error 2.2e-40
+    # (gamma_10, whose coefficient is 5.7e-11, so 1.3e-50 absolute) and
+    # 1.1e-41 (Taylor, at 1.4999); each bound has a margin of about 40
+    with mpmath.workdps(40):
+        regular = divisors._zeta_series(1, 11)
+        centres = [1 + mpmath.mpf(d) for d in ("1e-12", "-1e-12", "1e-6", "-1e-6", "0.01", "-0.01")]
+        centres += [mpmath.mpf("0.5001"), mpmath.mpf("1.4999")]
+        taylor = {c: divisors._zeta_series(c, 40) for c in centres}
+    with mpmath.workdps(50):
+        worst = max(
+            abs(regular[j] / ((-1) ** j * mpmath.stieltjes(j) / mpmath.factorial(j)) - 1) for j in range(11)
+        )
+        assert worst < 1e-38, worst
+        worst = max(
+            abs(got[k] / (mpmath.zeta(c, 1, k) / mpmath.factorial(k)) - 1)
+            for c, got in taylor.items()
+            for k in range(40)
+        )
+        assert worst < 5e-40, worst
+
 
 
 def test_main_terms_frozen_coefficients(poly_1_04, poly_2_035):
@@ -282,6 +341,22 @@ def test_main_terms_zeta_eval_budget(monkeypatch):
         main_terms(ell, a)
     _unweighted_main_coeffs.__wrapped__(7)
     assert calls == []
+
+
+def test_main_terms_call_no_mpmath_zeta(monkeypatch):
+    # the series data come from _zeta_series alone: neither the Stieltjes
+    # constants nor the derivatives of mpmath's zeta are reached, also on a
+    # cold series cache
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath special function reached")
+
+    for name in ("stieltjes", "zeta"):
+        monkeypatch.setattr(divisors.mp, name, refuse)
+    divisors._regular_part.cache_clear()
+    divisors._em_tables.cache_clear()
+    for ell, a in ((2, 0.3), (16, 0.49), (20, 0.35)):
+        main_terms(ell, a)
+    _unweighted_main_coeffs.__wrapped__(7)
 
 
 def test_main_terms_validation():

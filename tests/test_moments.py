@@ -258,6 +258,23 @@ def test_precision_error_names_the_same_panel():
     assert str(raised.value) == first
 
 
+@pytest.mark.parametrize(
+    "args, cause, advice",
+    [
+        ((0.01, 1.0, 1.0, 200), "near the pole s = 1", "lower j or move t_lo away from 0"),
+        ((1.0e4, 1.05e4, 0.5, 150), "exceeds float64 at this j", "lower j"),
+    ],
+    ids=["near-pole", "large-j"],
+)
+def test_precision_error_names_its_cause(args, cause, advice):
+    # next to the pole s = 1 moving t_lo helps; at t = 1e4 only a lower j
+    # does, so that message must not send the user to t_lo
+    with pytest.raises(PrecisionError) as raised:
+        moments.hybrid_moment(*args)
+    message = str(raised.value)
+    assert cause in message and message.endswith(f"; {advice}")
+
+
 def test_sample_invariants():
     with pytest.raises(ValueError):
         moments.MomentSample(0.0, 10.0, 0.5, 0, -1.0, 0.0)

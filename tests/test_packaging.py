@@ -16,9 +16,12 @@ PACKAGE = Path(zetalab.__file__).resolve().parent
 
 # Public functions whose callers live outside the package: the README's
 # examples (hybrid_moment, error_term), the benchmark worker
-# (dirichlet_identity_check) and argparse, which calls the CLI parser's
-# error method.
-OUTSIDE_ENTRY_POINTS = {"hybrid_moment", "error_term", "dirichlet_identity_check", "error"}
+# (dirichlet_identity_check), the benchmark tracer, which sizes a ledger by
+# its d4_table and dell_table properties, and argparse, which calls the CLI
+# parser's error method.
+OUTSIDE_ENTRY_POINTS = {
+    "hybrid_moment", "error_term", "dirichlet_identity_check", "d4_table", "dell_table", "error",
+}
 
 
 def test_declared_dependencies_import():
