@@ -20,6 +20,7 @@ the exact summatory minus both evaluated main-term polynomials.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -64,16 +65,15 @@ def _largest_divisor_count(k: int, N: int, i: int = 0, cap: int = 64) -> int:
     return best
 
 
-def _check_table_size(N: int, *ks: int) -> None:
+def _check_table_size(N: int, k: int, limit: float, what: str) -> None:
     """DomainError unless N is a positive integer, CeilingError above
-    N_CEILING or when some d_k(n), n <= N, would not fit in int64."""
+    N_CEILING or when some d_k(n), n <= N, exceeds limit (what names it)."""
     if not (isinstance(N, int) and N >= 1):
         raise DomainError(f"N must be a positive integer, got {N!r}")
     if N > N_CEILING:
         raise CeilingError(f"N = {N} exceeds the table ceiling {N_CEILING}")
-    for k in ks:
-        if _largest_divisor_count(k, N) > np.iinfo(np.int64).max:
-            raise CeilingError(f"d_{k}(n) for n <= {N} exceeds the int64 range of the table")
+    if _largest_divisor_count(k, N) > limit:
+        raise CeilingError(f"d_{k}(n) for n <= {N} exceeds {what}")
 
 
 def sieve_divisor_counts(k: int, N: int) -> np.ndarray:
@@ -85,7 +85,7 @@ def sieve_divisor_counts(k: int, N: int) -> np.ndarray:
     """
     if not (isinstance(k, int) and k >= 1):
         raise DomainError(f"k must be a positive integer, got {k!r}")
-    _check_table_size(N, k)
+    _check_table_size(N, k, np.iinfo(np.int64).max, "the int64 range of the table")
     counts = [math.comb(v + k - 1, k - 1) for v in range(N.bit_length())]
     return _kernels.multiplicative_table(
         N, lambda p, vmax: np.array(counts[: vmax + 1], dtype=np.int64), np.int64
@@ -140,17 +140,20 @@ def weighted_divisor_table(ell: int, a, N: int) -> DivisorLedger:
     function is multiplicative, so the prime-power sieve builds it from its
     local factor at p^v, sum over i of C(v-i+3, 3) C(i+ell-1, ell-1) p^(-a i)
     (4 + ell p^(-a) at a prime). At a = 0 every weight is 1, so the table
-    holds the (4+ell)-dimensional divisor counts exactly (integer-valued
-    float64 products).
+    holds the (4+ell)-dimensional divisor counts, exactly (integer-valued
+    float64 products) while they stay at most 2^53. Every value is at most
+    d_(4+ell)(n), so the call raises CeilingError when some d_(4+ell)(n),
+    n <= N, passes 2^53 at a = 0, or the float64 range at a > 0.
     """
     if not (isinstance(ell, int) and ell >= 1):
         raise DomainError(f"ell must be a positive integer, got {ell!r}")
     a_f = _shift_arg(a)
     if not (0.0 <= a_f < 0.5):
         raise DomainError(f"shift a must lie in [0, 1/2), got {a}")
-    # the checks that the d_4 and d_ell sieves made when the ledger held
-    # them, so the same inputs raise the same errors
-    _check_table_size(N, 4, ell)
+    if a_f == 0.0:
+        _check_table_size(N, 4 + ell, 2**53, "2^53, past which the float64 table loses exact counts")
+    else:
+        _check_table_size(N, 4 + ell, sys.float_info.max, "the float64 range of the table")
     c4 = [math.comb(v + 3, 3) for v in range(N.bit_length())]
     cl = [math.comb(i + ell - 1, ell - 1) for i in range(N.bit_length())]
 
@@ -530,7 +533,7 @@ def _complex_arg(s) -> mpc:
         raise DomainError(f"s must be a complex number, got {s!r}") from None
 
 
-def series_tail_bound(ell: int, a, s, N: int) -> float:
+def series_tail_bound(ell: int, s, N: int) -> float:
     """Computed bound for the tail sum beyond N of the weighted series at s.
 
     Majorizes the weighted values by unweighted counts of dimension 4+ell
@@ -588,7 +591,7 @@ def dirichlet_identity_check(
     residual = abs(lhs - rhs)
     return IdentityCheck(
         residual=residual,
-        tail_bound=series_tail_bound(ell, a, sc, N),
+        tail_bound=series_tail_bound(ell, sc, N),
         lhs=lhs,
         rhs=rhs,
         s=sc,

@@ -204,16 +204,41 @@ def test_weighted_table_validation():
         ((2, 0.35, 1.5), DomainError, "N must be a positive integer, got 1.5"),
         ((2, 0.35, "x"), DomainError, "N must be a positive integer, got 'x'"),
         ((2, 0.35, N_CEILING + 1), CeilingError, f"N = {N_CEILING + 1} exceeds the table ceiling {N_CEILING}"),
-        ((200, 0.1, 10**6), CeilingError, "d_200(n) for n <= 1000000 exceeds the int64 range of the table"),
+        ((40, 0.0, 10**6), CeilingError,
+         "d_44(n) for n <= 1000000 exceeds 2^53, past which the float64 table loses exact counts"),
+        ((10**18, 0.1, 10**6), CeilingError,
+         f"d_{10**18 + 4}(n) for n <= 1000000 exceeds the float64 range of the table"),
     ],
-    ids=["N=0", "N=1.5", "N=x", "N=ceiling+1", "int64-guard"],
+    ids=["N=0", "N=1.5", "N=x", "N=ceiling+1", "exact-guard", "float64-guard"],
 )
 def test_weighted_table_typed_errors(args, error, message):
-    # the ledger sieves no d_4 or d_ell table, yet a bad N or an ell whose
-    # counts overflow int64 raises the error and message the sieves raised
+    # a bad N raises the error and message the divisor sieves raise; the
+    # size guard walks d_(4+ell), which bounds every value: d_44(995328)
+    # passes 2^53, where the a = 0 table would round its counts
     with pytest.raises(error) as raised:
         weighted_divisor_table(*args)
     assert type(raised.value) is error and str(raised.value) == message
+
+
+def _dk(k: int, n: int) -> int:
+    # d_k(n) from the factorization of n by trial division
+    out, p = 1, 2
+    while n > 1:
+        v = 0
+        while n % p == 0:
+            n, v = n // p, v + 1
+        out, p = out * math.comb(v + k - 1, k - 1), p + 1
+    return out
+
+
+def test_weighted_table_past_int64():
+    # d_204 reaches 2.1e28 below 10^6, far past int64 and inside float64:
+    # the table builds and matches divisor enumeration
+    ledger = weighted_divisor_table(200, 0.1, 10**6)
+    for n in (2**19, 995328):
+        e = np.arange(1, n + 1)
+        want = math.fsum(_dk(4, n // d) * _dk(200, d) * d**-0.1 for d in e[n % e == 0].tolist())
+        assert math.isclose(ledger.combined[n], want, rel_tol=1e-13), n
 
 
 def test_ledger_builds_one_table(monkeypatch):
@@ -464,25 +489,29 @@ def test_identity_validation():
     ledger = weighted_divisor_table(1, 0.3, 20000)
     with pytest.raises(DomainError, match="integer N"):
         dirichlet_identity_check(1, 0.3, 2.0, 20000.0, ledger=ledger)
+    # past zeta_eval's ceiling on |Im s| the check raises its typed error
+    with pytest.raises(CeilingError) as raised:
+        dirichlet_identity_check(1, 0.3, 2 + 2e5j, 10**4)
+    assert str(raised.value) == "|Im s| = 200000.0 exceeds ceiling 100000"
 
 
 def test_tail_bound_shrinks_with_n():
-    b1 = series_tail_bound(2, 0.35, 2.0, 10**4)
-    b2 = series_tail_bound(2, 0.35, 2.0, 10**5)
+    b1 = series_tail_bound(2, 2.0, 10**4)
+    b2 = series_tail_bound(2, 2.0, 10**5)
     assert 0 < b2 < b1
     with pytest.raises(DomainError):
-        series_tail_bound(2, 0.35, 1.0, 10**4)
+        series_tail_bound(2, 1.0, 10**4)
     with pytest.raises(DomainError):
-        series_tail_bound(2, 0.35, math.nan, 10**4)
+        series_tail_bound(2, math.nan, 10**4)
 
 
 @pytest.mark.parametrize(
     "check, args, name",
     [
-        (series_tail_bound, (2, 0.35, 2.0, 0), "N"),
-        (series_tail_bound, (2, 0.35, 2.0, -5), "N"),
-        (series_tail_bound, (2, 0.35, 2.0, math.inf), "N"),
-        (series_tail_bound, (1.5, 0.35, 2.0, 10**4), "ell"),
+        (series_tail_bound, (2, 2.0, 0), "N"),
+        (series_tail_bound, (2, 2.0, -5), "N"),
+        (series_tail_bound, (2, 2.0, math.inf), "N"),
+        (series_tail_bound, (1.5, 2.0, 10**4), "ell"),
         (dirichlet_identity_check, (2, 0.35, "abc", 10**4), "s"),
     ],
     ids=["N=0", "N=-5", "N=inf", "ell=1.5", "s=abc"],

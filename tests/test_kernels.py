@@ -155,6 +155,69 @@ def test_riemann_siegel_coefficient_tables():
     assert np.allclose(_kernels._F, f, rtol=1e-15, atol=0)
 
 
+def _arias_de_reyna_matrix(sigma):
+    # the correction weights at one sigma, by Arias de Reyna's recursion
+    # (II, 3.17) run on numbers: row k, column r = 3k - 2l holds
+    # d_k^l(sigma) / (pi^(2k-l) (2i)^l). Floats round every step; a Fraction
+    # sigma runs it exactly and rounds once at the end.
+    L = _kernels._RS_TERMS
+    d = [[type(sigma)(1)]]
+    for n in range(1, L):
+        prev = d[-1]
+
+        def at(k):
+            return prev[k] if 0 <= k < len(prev) else 0
+
+        row = []
+        for k in range(3 * n // 2 + 1):
+            m = 3 * n - 2 * k
+            if m:
+                row.append(-(m + 1) * at(k - 2) + at(k) / (4 * m) + (1 - 2 * sigma) / (2 * m) * at(k - 1))
+            else:
+                row.append(-sum((-1) ** (k - r) * row[r] * math.factorial(2 * (k - r)) / math.factorial(k - r)
+                                for r in range(k)))
+        d.append(row)
+    out = np.zeros((L, 3 * L - 2), dtype=np.complex128)
+    for k, row in enumerate(d):
+        for ell, value in enumerate(row):
+            out[k, 3 * k - 2 * ell] = float(value) / (math.pi ** (2 * k - ell) * (2j) ** ell)
+    return out
+
+
+def test_riemann_siegel_correction_table():
+    # the import-time tables against the recursions they replace: the
+    # weights, evaluated by Horner at x = 1 - 2 sigma and at -x, against
+    # the per-sigma recursion in floats and in exact rationals, at sigma and
+    # 1 - sigma for every RS_SIGMAS entry and 20 seeded sigma in [1/2, 1];
+    # and the derivative series of F against numpy's polyder.
+    # Each weight's error is measured against the largest weight of its
+    # correction term: relative to the weight itself it is unbounded near a
+    # root of d_k^l(sigma), for either float route. The l = 3k/2 weights
+    # sum alternating factorials that cancel, so on this scale the float
+    # recursion errs by up to 5.6e-15 from the exact weights (1.7e-13
+    # relative to the weight), and the table by up to 1.1e-14 from either
+    # recursion
+    from fractions import Fraction
+
+    rng = np.random.default_rng(23)
+    worst = {float: 0.0, Fraction: 0.0}
+    for sigma in RS_SIGMAS + rng.uniform(0.5, 1.0, 20).tolist():
+        x = 1 - 2 * sigma
+        for s, xs in ((sigma, x), (1 - sigma, -x)):
+            got = np.polynomial.polynomial.polyval(xs, _kernels._AR_WEIGHTS, tensor=False)
+            for kind in worst:
+                ref = _arias_de_reyna_matrix(kind(s))
+                assert np.array_equal(got != 0, ref != 0)
+                scale = np.abs(ref).max(axis=1, keepdims=True)
+                worst[kind] = max(worst[kind], float(np.max(np.abs(got - ref) / scale)))
+    assert max(worst.values()) <= 3e-14
+    series = np.zeros(2 * _kernels._F.size - 1, dtype=np.complex128)
+    series[::2] = _kernels._F
+    for r, row in enumerate(_kernels._F_DERIVS):
+        ref = np.polynomial.polynomial.polyder(series, r)
+        assert np.allclose(row[: ref.size], ref, rtol=1e-15, atol=0) and not row[ref.size :].any()
+
+
 def test_euler_maclaurin_coefficient_table():
     # the float literals are B_2k/(2k)! at 30 digits, rounded to float64
     from mpmath import bernoulli, factorial

@@ -1,5 +1,6 @@
 """Every runtime dependency declared in pyproject.toml imports, every
-exported name resolves, and the package holds no function only tests call."""
+exported name resolves, and the package holds no function only tests call
+and no parameter its function never reads."""
 
 import ast
 import importlib
@@ -22,6 +23,10 @@ PACKAGE = Path(zetalab.__file__).resolve().parent
 OUTSIDE_ENTRY_POINTS = {
     "hybrid_moment", "error_term", "dirichlet_identity_check", "d4_table", "dell_table", "error",
 }
+
+# Parameters their function may leave unread, as (function, parameter):
+# render_csv's cfg keeps one signature for every renderer.
+UNREAD_PARAMETERS = [("render_csv", "cfg")]
 
 
 def test_declared_dependencies_import():
@@ -68,6 +73,29 @@ def test_no_test_only_code():
     assert not unreferenced, f"only tests call: {unreferenced}"
 
 
+def _reads(node: ast.FunctionDef) -> set:
+    """Names the body of node reads, nested functions included."""
+    return {
+        n.id for stmt in node.body for n in ast.walk(stmt)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def test_no_unread_parameter():
+    # a parameter its function never reads is an argument every caller
+    # passes for nothing. A method's self is exempt: an override such as
+    # the CLI parser's error keeps its base class's signature
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+                read = _reads(node)
+                unread += [(node.name, p.arg) for p in params if p and p.arg != "self" and p.arg not in read]
+    assert sorted(unread) == UNREAD_PARAMETERS
+
+
 def test_no_dead_config_field():
     # every option a subcommand declares must be a parameter of its cmd_*
     # handler that the handler's body reads; an option no handler reads is
@@ -84,10 +112,7 @@ def test_no_dead_config_field():
     for command, (handler, _, options) in _COMMANDS.items():
         node = handlers[handler.__name__]
         params = {arg.arg for arg in node.args.args}
-        read = {
-            n.id for stmt in node.body for n in ast.walk(stmt)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-        }
+        read = _reads(node)
         for flag, kwargs in options.items():
             dest = flag.lstrip("-").replace("-", "_")
             assert dest in params, f"{command} {flag}: not a parameter of {node.name}"
