@@ -36,34 +36,35 @@ def line_zeta(sigmas, ts: np.ndarray) -> np.ndarray:
 
     Returns one row per sigma, float64 throughout. A batch whose smallest t
     is at least RS_T_MIN = 3000 takes the Riemann-Siegel route, any other
-    batch Euler-Maclaurin. Both build one phase matrix theta = log n * t,
-    laid out n by t, for all rows: the main sums are W @ cos(theta) and
-    W @ sin(theta), with rows of W the powers n^(-sigma_i) (and, for
-    Riemann-Siegel, n^(sigma_i - 1)).
+    batch Euler-Maclaurin. Both take their main sums from _power_sums: one
+    complex array of the phases n^(-it), laid out n by t, and one product
+    with the powers n^x, x = -sigma_i (and, for Riemann-Siegel, also
+    sigma_i - 1), for all rows at once.
 
     Euler-Maclaurin: truncation N ~ 0.3 * max t and EM_TERMS = 28 tail
     terms (_add_em_tail). sigma = 1 with t = 0 in the batch hits the pole.
 
     Riemann-Siegel: floor(sqrt(t / 2 pi)) terms per node (at most 126 up to
     T_CEILING), chi(s) from Stirling's series, and Arias de Reyna's
-    correction terms for every sigma, as Taylor series in the fractional
-    part of sqrt(t / 2 pi) (never the 0/0 quotient). Their count, 8, comes
-    from his explicit remainder bound at RS_T_MIN. Their weights come from
-    one table of polynomials in sigma, built at import (_correction_tables),
-    so a new sigma costs nothing extra. Measured costs for two
-    lines of 21 nodes: Riemann-Siegel 0.25 to 0.5 ms at any t,
-    Euler-Maclaurin 0.43 ms at t = 1e3, 2.2 ms at 1e4 and 27 ms at 1e5, so
-    the routes cross near t = 1000; RS_T_MIN sits higher (see there). Most
-    of a 21-node Riemann-Siegel call is fixed numpy overhead: per node it
-    costs 12 to 15 us, but in the two-line batches that moments sends (399
-    nodes at t = 1e4, 231 at 3e4, 126 at 1e5) 3.0, 4.4 and 7.1 us.
+    zeta(s) = R(s) + chi(s) conj(R(1 - conj s)), his corrections added to
+    both R rows before the one combination. They are Taylor series in the
+    fractional part of sqrt(t / 2 pi) (never the 0/0 quotient); their count,
+    8, comes from his explicit remainder bound at RS_T_MIN, and their
+    weights from one table of polynomials in sigma built at import
+    (_correction_tables), so a new sigma costs nothing extra. On one core of
+    a 2-core x86_64 host, two lines of 21 nodes take 0.5 to 0.65 ms on
+    Riemann-Siegel at any t, and on Euler-Maclaurin 0.55 ms at t = 1e3,
+    3.8 ms at 1e4 and 32 ms at 1e5: the routes cross near t = 1000, and
+    RS_T_MIN sits higher. Such a Riemann-Siegel call is mostly overhead,
+    24 to 30 us a node; in the two-line batches that moments sends (399
+    nodes at t = 1e4, 231 at 3e4, 126 at 1e5) 5.1, 7.7 and 12.5 us.
 
     For sigma in [1/2, 1] and t up to T_CEILING = 1e5 the absolute error
     stays below 1e-12 + 1e-14 * t on both routes: the rounding of the phases
     t log n grows with t. Against mpmath.zeta, at most 2.7e-15 * t for
     Euler-Maclaurin (25 batched t in [1e2, 1e5], three lines) and
-    1.3e-15 * t for Riemann-Siegel (47 batched t in [3e3, 1e5], five lines
-    from 1/2 to 1), whose truncation is bounded by a quarter of the bound.
+    1.7e-15 * t for Riemann-Siegel (1,000 seeded values on lines from 1/2
+    to 1, t in [3e3, 1e5]), whose truncation takes a quarter of the bound.
     """
     sig = np.asarray(sigmas, dtype=np.float64)
     ts = np.asarray(ts, dtype=np.float64)
@@ -75,12 +76,24 @@ def line_zeta(sigmas, ts: np.ndarray) -> np.ndarray:
 def _euler_maclaurin(sig: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """zeta(sigma + i t), one row per sigma; see line_zeta."""
     N = _em_cutoff(ts)
-    lnn = np.log(np.arange(1, N))
-    theta = np.multiply.outer(lnn, ts)
-    W = np.exp(-np.multiply.outer(sig, lnn))
-    acc = W @ np.cos(theta) - 1j * (W @ np.sin(theta))
+    acc = _power_sums(-sig, np.log(np.arange(1, N)), ts)
     s = sig[:, None] + 1j * ts
     return _add_em_tail(acc, s, s - 1.0, N)
+
+
+def _power_sums(rows: np.ndarray, lnn: np.ndarray, ts: np.ndarray, dead=None) -> np.ndarray:
+    """sum_n n^(x_i) n^(-it) for each x_i in rows and each t, over the n
+    whose logs are lnn but those flagged in the n-by-t array dead. The
+    phases are one complex array: sin and cos of -t log n fill it in place
+    (as np.exp would, bit for bit, but faster), and one real product
+    reduces its interleaved parts."""
+    phase = np.empty((lnn.size, ts.size), dtype=np.complex128)
+    np.multiply.outer(lnn, -ts, out=phase.real)
+    np.sin(phase.real, out=phase.imag)
+    np.cos(phase.real, out=phase.real)
+    if dead is not None:
+        phase[dead] = 0.0
+    return (np.exp(np.multiply.outer(rows, lnn)) @ phase.view(np.float64)).view(np.complex128)
 
 
 def point_zeta(u) -> np.ndarray:
@@ -309,35 +322,22 @@ def _riemann_siegel(sig: np.ndarray, ts: np.ndarray) -> np.ndarray:
     a = np.sqrt(ts / (2 * math.pi))
     m = np.floor(a)
     n = np.arange(1.0, m.max() + 1.0)
-    lnn = np.log(n)
-    theta = np.multiply.outer(lnn, ts)
-    live = n[:, None] <= m
-    cos_t = np.where(live, np.cos(theta), 0.0)
-    sin_t = np.where(live, np.sin(theta), 0.0)
-    # rows n^-sigma_i, then n^(sigma_i - 1)
-    W = np.exp(np.multiply.outer(np.concatenate([-sig, sig - 1.0]), lnn))
-    c, s = W @ cos_t, W @ sin_t
-    R = sig.size
-    col = sig[:, None]
-    th0 = _theta0(ts)
-    log_chi = _log_chi(col, ts, th0)
-    chi = np.exp(log_chi)
-    out = (c[:R] - 1j * s[:R]) + chi * (c[R:] + 1j * s[R:])
-    # Arias de Reyna: zeta(s) = R(s) + chi(s) conj(R(1 - conj s)), each R
-    # gaining (-1)^(m-1) U a^-sigma sum_k C_k(sigma, p) a^-k, with
-    # p = 1 - 2(a - m) and U = exp(-i theta0)
+    # Arias de Reyna: zeta(s) = R(s) + chi(s) conj(R(1 - conj s)). Row x of
+    # out is R at real part -x (x = -sigma_i, then sigma_i - 1): the sum of
+    # n^x n^(-it) over n <= m plus (-1)^(m-1) U a^x sum_k C_k(-x, p) a^-k,
+    # with p = 1 - 2(a - m) and U = exp(-i theta0)
+    x = np.concatenate([-sig, sig - 1.0])
+    out = _power_sums(x, np.log(n), ts, dead=n[:, None] > m)
     powers = np.vander(1 - 2 * (a - m), _F_DERIVS.shape[1], increasing=True)
     derivs = _F_DERIVS @ powers.T
-    # the weights of the F^(r)(p) for each R(s) (x = 1 - 2 sigma), then
-    # for each R(1 - s) (-x), from the powers of x in one product: a Horner
-    # loop would cost 14 small numpy calls per kernel call
-    x = np.concatenate([1 - 2 * sig, 2 * sig - 1])
+    # the weights of the F^(r)(p), polynomials in 1 + 2x, from its powers in
+    # one product: a Horner loop would cost 14 small numpy calls per call
     L = _RS_TERMS
-    weights = (x[:, None] ** np.arange(L) @ _AR_WEIGHTS.reshape(L, -1)).reshape(x.size, L, -1)
+    weights = ((1 + 2 * x)[:, None] ** np.arange(L) @ _AR_WEIGHTS.reshape(L, -1)).reshape(x.size, L, -1)
     S = ((weights @ derivs) * a ** -np.arange(L)[:, None]).sum(axis=1)
-    U = np.where(m % 2 == 1, 1.0, -1.0) * np.exp(-1j * th0)
-    out += U * a**-col * S[:R] + chi * np.conj(U * S[R:]) * a ** (col - 1)
-    return out
+    th0 = _theta0(ts)
+    out += np.where(m % 2 == 1, 1.0, -1.0) * np.exp(-1j * th0) * a ** x[:, None] * S
+    return out[: sig.size] + np.exp(_log_chi(sig[:, None], ts, th0)) * np.conj(out[sig.size :])
 
 
 def _primes_upto(N: int) -> np.ndarray:

@@ -133,6 +133,20 @@ def _shift_arg(a) -> float:
         raise DomainError(f"a must be a real number, got {a!r}") from None
 
 
+def _ell_arg(ell, extra: Optional[int] = None) -> None:
+    """DomainError unless ell is a positive integer. Given extra, ell sets a
+    pole of order extra + ell, whose principal part _moments_to_coeffs
+    divides by k! for k below the order; k! passes the float64 range at
+    k = 171, so an order above 171 raises CeilingError naming ell."""
+    if not (isinstance(ell, int) and ell >= 1):
+        raise DomainError(f"ell must be a positive integer, got {ell!r}")
+    if extra is not None and extra + ell > 171:
+        raise CeilingError(
+            f"ell = {ell} gives a pole of order {extra + ell}, over 171: its "
+            "coefficient of log^k X divides by k!, past the float64 range from k = 171"
+        )
+
+
 def weighted_divisor_table(ell: int, a, N: int) -> DivisorLedger:
     """Ledger for the weighted convolution with shift a in [0, 1/2).
 
@@ -145,8 +159,7 @@ def weighted_divisor_table(ell: int, a, N: int) -> DivisorLedger:
     d_(4+ell)(n), so the call raises CeilingError when some d_(4+ell)(n),
     n <= N, passes 2^53 at a = 0, or the float64 range at a > 0.
     """
-    if not (isinstance(ell, int) and ell >= 1):
-        raise DomainError(f"ell must be a positive integer, got {ell!r}")
+    _ell_arg(ell)
     a_f = _shift_arg(a)
     if not (0.0 <= a_f < 0.5):
         raise DomainError(f"shift a must lie in [0, 1/2), got {a}")
@@ -455,10 +468,10 @@ def main_terms(ell: int, a) -> MainTermPolynomial:
     to ell = 40 at least for a >= 0.35. For a <= 1e-8 the ring overflows
     float64 first: from ell = 34 at a = 1e-8, 26 at 1e-10, 22 at 1e-12 and
     15 at 1e-16. The shift must satisfy 0 < a < 1/2; at a = 0 the two
-    poles merge into one that this construction does not cover.
+    poles merge into one that this construction does not cover. An ell
+    above 171 raises CeilingError before any work (_ell_arg).
     """
-    if not (isinstance(ell, int) and ell >= 1):
-        raise DomainError(f"ell must be a positive integer, got {ell!r}")
+    _ell_arg(ell, 0)
     a_f = _shift_arg(a)
     if not (0.0 < a_f < 0.5):
         raise DomainError(
@@ -540,10 +553,10 @@ def series_tail_bound(ell: int, s, N: int) -> float:
     (the damping factor is <= 1), approximates their local density by the
     derivative of the main term, integrates it against x^(-Re s) in closed
     form, and applies a factor-3 margin for the fluctuation of the counts
-    around that density.
+    around that density. A pole order 4 + ell above 171 raises
+    CeilingError (_ell_arg).
     """
-    if not (isinstance(ell, int) and ell >= 1):
-        raise DomainError(f"ell must be a positive integer, got {ell!r}")
+    _ell_arg(ell, 4)
     if not (isinstance(N, int) and N >= 1):
         raise DomainError(f"N must be a positive integer, got {N!r}")
     sigma = float(mp.re(_complex_arg(s)))
@@ -570,13 +583,16 @@ def dirichlet_identity_check(
 
     Re s >= 1.5 (absolute convergence with headroom) and N >= 10^4. The
     returned tail_bound is the computed majorant from series_tail_bound;
-    residuals sit below it, typically within a small factor.
+    residuals sit below it, typically within a small factor. An ell above
+    167, which series_tail_bound refuses, raises CeilingError before the
+    table is built.
     """
     sC = _complex_arg(s)
     if not float(mp.re(sC)) >= 1.5:  # written so that NaN fails
         raise DomainError(f"need Re s >= 1.5, got {mp.re(sC)}")
     if not (isinstance(N, int) and N >= 10**4):
         raise DomainError(f"need an integer N >= 10^4, got {N!r}")
+    _ell_arg(ell, 4)
     if ledger is None:
         ledger = weighted_divisor_table(ell, a, N)
     elif ledger.N < N or ledger.ell != ell or float(ledger.a) != _shift_arg(a):

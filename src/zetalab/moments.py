@@ -21,12 +21,13 @@ _kernels.RS_T_MIN = 3000, one call per panel, and Riemann-Siegel for
 panels whose nodes all lie at or above it, several consecutive panels per
 call up to _RS_CHUNK_CELLS phase-matrix cells. Both keep the abs error
 below 1e-12 + 1e-14 * t up to T_CEILING (measured against mpmath.zeta: at
-most 2.7e-15 * t and 1.3e-15 * t), far below any quadrature tolerance
-accepted here. A single Riemann-Siegel panel costs about 0.3 ms at any t;
-in shared calls a panel costs 0.06 ms at t = 1e4 and 0.15 ms at T_CEILING,
-so [0, T_CEILING] takes 11 to 16 s (30 to 44 s with one call per panel). The
-25-digit path in zetanum is used by the test suite to validate that
-kernel, not per node.
+most 2.7e-15 * t and 1.7e-15 * t), far below any quadrature tolerance
+accepted here. On one core of a 2-core x86_64 host, a single
+Riemann-Siegel panel costs 0.5 to 0.65 ms at any t; in shared calls a panel
+costs 0.11 ms at t = 1e4 and 0.26 ms at T_CEILING, so [0, T_CEILING] at
+sigma = 3/4, j = 1 takes 13 to 14 s with a peak RSS of 50 MB (about three
+times as long with one call per panel). The 25-digit path in zetanum is
+used by the test suite to validate that kernel, not per node.
 """
 
 from __future__ import annotations
@@ -51,10 +52,11 @@ PANEL_CEILING = 200_000
 # Riemann-Siegel panels share one line_zeta call up to this many cells of
 # its phase matrix (nodes times floor(sqrt(t / 2 pi))): 6 panels at
 # T_CEILING, 19 at t = 1e4. Measured in process on one core of a 2-core
-# x86_64 host over the moment-high-t benchmark windows, median job time
-# against the budget: 9.3 ms at 2,646 (one panel at T_CEILING), 4.5 ms at
-# 8,000, 3.9 ms at 16,000 and 3.7 ms at 42,336, while peak RSS rose by
-# 0.1, 0.8 and 2.1 MB over single-panel calls.
+# x86_64 host over the moment-high-t benchmark windows (seeds 1-3, three
+# rounds), median job time against the budget: 11 to 12 ms at 2,646 (one
+# panel at T_CEILING), 5.4 ms at 8,000, 4.8 to 5.7 ms at 16,000 and 4.0 ms
+# at 42,336, while peak RSS rose by 0.0, 0.7 and 1.7 MB over single-panel
+# calls.
 _RS_CHUNK_CELLS = 16_000
 
 # Gauss-Kronrod 10-21 on [-1, 1], as in QUADPACK's dqk21 (Piessens et

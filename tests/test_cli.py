@@ -421,6 +421,22 @@ def test_exit_resource_ceiling(capsys):
     assert "ceiling" in err
 
 
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (["divisor", "--ell", "200", "--ceiling", "1000"], "ell = 200 gives a pole of order 200"),
+        (["bounds", "--count", str(cli.COUNT_CEILING + 1)], f"grid of {cli.COUNT_CEILING + 1} points"),
+    ],
+    ids=["divisor-ell-200", "bounds-count"],
+)
+def test_exit_ceiling_names_its_cause(capsys, argv, cause):
+    # a pole order past 171 and an oversized grid each exit 3 and name
+    # their cause, with no traceback
+    rc, out, err = _run(capsys, argv)
+    assert rc == 3 and out == ""
+    assert err.startswith(f"ceiling error: {cause}")
+
+
 def test_moment_unconverged_note(capsys, monkeypatch):
     # a run stopped by the panel budget still reports, and says so
     monkeypatch.setattr(moments, "PANEL_CEILING", 8)

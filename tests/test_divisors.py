@@ -526,6 +526,37 @@ def test_identity_path_typed_errors(check, args, name):
 @pytest.mark.parametrize(
     "check, args",
     [
+        (main_terms, (172, 0.3)),
+        (series_tail_bound, (168, 2.0, 10**4)),
+        (dirichlet_identity_check, (168, 0.3, 2.0, 10**4)),
+    ],
+    ids=["main_terms", "series_tail_bound", "dirichlet_identity_check"],
+)
+def test_pole_order_ceiling(check, args, monkeypatch):
+    # the coefficients of a pole of order above 171 divide by k! past the
+    # float64 range: each call refuses such an ell before any series or
+    # table work, not with an OverflowError seconds into it
+    def refuse(*_):
+        raise AssertionError("work started before the pole-order check")
+
+    monkeypatch.setattr(divisors, "_principal_part", refuse)
+    monkeypatch.setattr(divisors, "weighted_divisor_table", refuse)
+    with pytest.raises(CeilingError, match=rf"^ell = {args[0]} gives a pole of order 172, over 171"):
+        check(*args)
+
+
+def test_pole_order_ceiling_edge():
+    # the largest orders that still fit pass: ell = 171 for main_terms, and
+    # 4 + ell = 171 for the tail bound and the identity check
+    divisors._ell_arg(171, 0)
+    divisors._ell_arg(167, 4)
+    with pytest.raises(CeilingError):
+        divisors._ell_arg(168, 4)
+
+
+@pytest.mark.parametrize(
+    "check, args",
+    [
         (weighted_divisor_table, (1, "abc", 100)),
         (main_terms, (1, "abc")),
         (main_terms, (1, None)),

@@ -4,6 +4,7 @@ rule's constants against numpy's Gauss-Legendre rule and exact monomial
 integrals."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -140,6 +141,25 @@ def test_riemann_siegel_corrections_at_their_edges():
         assert ts.min() >= _kernels.RS_T_MIN
         got = _kernels.line_zeta(RS_SIGMAS, ts)
         assert _within_line_bound(got, _kernels._euler_maclaurin(np.array(RS_SIGMAS), ts), ts)
+
+
+def test_riemann_siegel_one_phase_array():
+    # the main sums take one complex128 phase array of nodes x m cells,
+    # m = floor(sqrt(t / 2 pi)), and the boolean mask of its dead cells,
+    # about 17 B a cell; separate float phase, cos and sin arrays, masked,
+    # take about 42 B. 756 nodes are 36 panels of 21
+    ts = np.linspace(T_CEILING - 100.0, T_CEILING, 756)
+    sig = np.array([0.5, 0.75])
+    _kernels._riemann_siegel(sig, ts)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _kernels._riemann_siegel(sig, ts)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    cells = np.floor(np.sqrt(ts / (2 * math.pi))).sum()
+    assert peak / cells <= 24.0, peak / cells
 
 
 def test_riemann_siegel_coefficient_tables():
