@@ -4,7 +4,7 @@ weighted divisor experiments for hybrid moment estimates.
 Layout:
     bounds    exact piecewise tables, convexity curve, threshold recursion
     pairs     van der Corput A/B process calculus and pair search
-    zetanum   high-precision zeta, functional-equation factor
+    zetanum   high-precision zeta on Re s > 0
     moments   adaptive quadrature of hybrid moments
     divisors  weighted divisor sieves, Perron residue main terms, error terms
     cli       command-line surface

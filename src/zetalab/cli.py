@@ -234,8 +234,9 @@ _REF_C = {
 }
 
 # Closed-form threshold rows: (sigma0, j, reference value). The j = 4
-# reference is internally inconsistent (it does not match the construction
-# that produces the other three rows) and is excluded from the exit gate.
+# reference 221/229 is a misprint: the construction that produces the other
+# three rows gives 221/224. The row keeps the printed value and is excluded
+# from the exit gate.
 _REF_CLOSED = (
     (Fraction(5, 8), 1, Fraction(4, 5)),
     (Fraction(35, 54), 2, Fraction(71, 78)),

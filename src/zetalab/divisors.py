@@ -29,7 +29,7 @@ import numpy as np
 from mpmath import mp, mpc, mpf, workdps, workprec
 
 from . import _kernels
-from .errors import CeilingError, DomainError, PrecisionError
+from .errors import CeilingError, DomainError, PrecisionError, real_arg
 from .zetanum import _MP_LOCK, zeta_eval
 
 N_CEILING = 50_000_000
@@ -117,6 +117,7 @@ class DivisorLedger:
 
     def summatory_at(self, X: float) -> float:
         """Sum of the weighted divisor values over n <= X (0 below 1)."""
+        real_arg("X", X)
         if not (X <= self.N and math.isfinite(X)):  # written so that NaN fails
             raise DomainError(f"X must be finite and at most the table ceiling N = {self.N}, got {X}")
         idx = int(math.floor(X))
@@ -431,6 +432,7 @@ class MainTermPolynomial:
     diagnostics: dict = field(default_factory=dict)
 
     def evaluate(self, X: float) -> float:
+        real_arg("X", X)
         if not 0 < X < math.inf:  # written so that NaN fails
             raise DomainError(f"main terms need a finite X > 0, got {X}")
         L = math.log(X)
@@ -631,6 +633,7 @@ def _summatory_and_main(ledger: DivisorLedger, poly: MainTermPolynomial, X: floa
             f"polynomial is for (ell={poly.ell}, a={poly.a}), ledger holds "
             f"(ell={ledger.ell}, a={ledger.a})"
         )
+    real_arg("X", X)
     if not X > 0:  # written so that NaN fails
         raise DomainError(f"X must be positive, got {X}")
     return ledger.summatory_at(X), poly.evaluate(X)

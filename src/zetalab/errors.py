@@ -1,9 +1,12 @@
-"""Exception hierarchy. The CLI maps these onto exit codes:
+"""Exception hierarchy, and the check that an argument is a real number.
+The CLI maps the exceptions onto exit codes:
 
     DomainError     -> 1 (validation)
     PrecisionError  -> 2 (numerical tolerance not met)
     CeilingError    -> 3 (resource ceiling)
 """
+
+import numbers
 
 
 class ZetalabError(Exception):
@@ -24,3 +27,11 @@ class PrecisionError(ZetalabError):
 
 class CeilingError(ZetalabError):
     """A configured resource ceiling (memory, panel count, table size) was hit."""
+
+
+def real_arg(name: str, x) -> float:
+    """float(x); DomainError naming the argument unless x is a real number
+    (numbers.Real: int, float, Fraction, numpy and mpmath reals, no str)."""
+    if not isinstance(x, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {x!r}")
+    return float(x)

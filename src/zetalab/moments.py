@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import CeilingError, DomainError, PrecisionError
+from .errors import CeilingError, DomainError, PrecisionError, real_arg
 
 T_CEILING = 1.0e5
 REL_TOL_FLOOR = 1.0e-6
@@ -215,6 +215,8 @@ def _overflow_message(a: float, b: float, sigma: float, j: int) -> str:
 
 
 def _validate(t_lo: float, t_hi: float, sigma: float, j: int, rel_tols: list[float]) -> None:
+    for name, x in (("t_lo", t_lo), ("t_hi", t_hi), ("sigma", sigma)):
+        real_arg(name, x)
     if not (isinstance(j, int) and j >= 0):
         raise DomainError(f"j must be a nonnegative integer, got {j!r}")
     if not (0.5 <= sigma <= 1.0):
@@ -257,7 +259,10 @@ def hybrid_moment_trace(
     of the value, while the value was within 3.2e-10 of a sum of two
     16-point Gauss-Legendre halves on each of the same panels.
     """
-    tols = [float(x) for x in rel_tols]
+    try:
+        tols = [real_arg("rel_tol", x) for x in rel_tols]
+    except TypeError:  # rel_tols is not iterable
+        raise DomainError(f"rel_tols must be a sequence of numbers, got {rel_tols!r}") from None
     _validate(t_lo, t_hi, sigma, j, tols)
     if not tols or any(b >= a for a, b in zip(tols, tols[1:])):
         raise DomainError(f"rel_tols must be strictly decreasing, got {rel_tols}")

@@ -77,7 +77,10 @@ def pointwise_bound_from_pair(pair: ExponentPair, sigma) -> Fraction:
     Valid for sigma >= 1/2 with l - k >= sigma; violations name the failed
     inequality.
     """
-    s = Fraction(sigma)
+    try:
+        s = Fraction(sigma)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"sigma must be a real number, got {sigma!r}") from None
     if not s >= Fraction(1, 2):
         raise DomainError(f"sigma >= 1/2 fails: sigma = {sigma}")
     if not pair.l - pair.k >= s:
@@ -97,8 +100,8 @@ def generate_pairs(max_word_length: int) -> list[ExponentPair]:
     extends the best word for its parent's value, so none is missed.
     Deterministic.
     """
-    if max_word_length < 0:
-        raise DomainError(f"max_word_length must be >= 0, got {max_word_length}")
+    if not (isinstance(max_word_length, int) and max_word_length >= 0):
+        raise DomainError(f"max_word_length must be a nonnegative integer, got {max_word_length!r}")
     found: list[ExponentPair] = []
     seen: set[tuple[Fraction, Fraction]] = set()
     level = [ExponentPair(k, l) for k, l in BASE_PAIRS]

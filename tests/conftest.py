@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from mpmath import fabs, mp, mpc, mpf, power, sqrt, workdps
+from mpmath import exp, fabs, log, loggamma, mp, mpc, mpf, pi, power, sqrt, workdps
 
 from zetalab.errors import CeilingError, DomainError, PrecisionError
 
@@ -73,6 +73,37 @@ def _zeta_eval_alternating(s, target_abs_error=None, dps=25):
 def zeta_eval_alternating():
     """The zeta oracle, independent of the Euler-Maclaurin route."""
     return _zeta_eval_alternating
+
+
+def _chi_factor(s, dps=25):
+    """Functional-equation factor chi with zeta(s) = chi(s) * zeta(1-s).
+
+    chi(s) = pi^(s - 1/2) * Gamma((1-s)/2) / Gamma(s/2), evaluated through
+    log-Gamma so large |t| cannot overflow. Poles of Gamma((1-s)/2) sit at
+    odd positive integers s and raise DomainError, as a non-finite s does;
+    at the poles of Gamma(s/2) (s = 0, -2, -4, ...) chi vanishes and 0 is
+    returned.
+    """
+    sC = mpc(s)
+    if not mp.isfinite(sC):
+        raise DomainError(f"s must be finite, got {s!r}")
+    if mp.im(sC) == 0:
+        re2 = mp.re(sC)
+        if re2 == int(re2):
+            n = int(re2)
+            if n >= 1 and n % 2 == 1:
+                raise DomainError(f"chi has a pole at s = {n}")
+            if n <= 0 and n % 2 == 0:
+                return mpc(0)
+    with workdps(dps + 10):
+        return exp((sC - mpf(1) / 2) * log(pi) + loggamma((1 - sC) / 2) - loggamma(sC / 2))
+
+
+@pytest.fixture(scope="session")
+def chi_factor():
+    """The functional-equation factor, for the tests of zeta on both sides
+    of the critical line and of the float kernels' chi."""
+    return _chi_factor
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -309,7 +309,7 @@ def test_main_terms_frozen_coefficients(poly_1_04, poly_2_035):
 def test_simple_pole_coefficient_closed_form(poly_1_04):
     # one secondary factor makes the lower pole simple, with residue
     # zeta(1-a)^4 / (1-a)
-    want = float(zeta_eval(0.6, 1e-26).real ** 4) / 0.6
+    want = float(zeta_eval(0.6).real ** 4) / 0.6
     assert abs(poly_1_04.cprime_coeffs[0] - want) < 1e-8
 
 
@@ -428,6 +428,18 @@ def test_evaluate_rejects_nonpositive(poly_1_04):
     for X in (0.0, -3.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             poly_1_04.evaluate(X)
+
+
+def test_non_numeric_x_named(ledger_2_035, poly_2_035):
+    for call in (
+        lambda: ledger_2_035.summatory_at("5"),
+        lambda: error_term(ledger_2_035, poly_2_035, "5"),
+        lambda: error_trend(ledger_2_035, poly_2_035, [10, "5"]),
+        lambda: poly_2_035.evaluate("5"),
+    ):
+        with pytest.raises(DomainError) as raised:
+            call()
+        assert str(raised.value) == "X must be a real number, got '5'"
 
 
 def test_fraction_shift_accepted():

@@ -39,6 +39,24 @@ def test_validation_errors():
         moments.hybrid_moment(0, 2.0e5, 0.5, 0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: moments.hybrid_moment(0, 10, 0.5, 0, rel_tol="abc"), "rel_tol must be a real number, got 'abc'"),
+        (lambda: moments.hybrid_moment(0, "10", 0.5, 0), "t_hi must be a real number, got '10'"),
+        (lambda: moments.hybrid_moment(None, 10, 0.5, 0), "t_lo must be a real number, got None"),
+        (lambda: moments.hybrid_moment(0, 10, None, 0), "sigma must be a real number, got None"),
+        (lambda: moments.hybrid_moment_trace(0, 10, 0.5, 0, None),
+         "rel_tols must be a sequence of numbers, got None"),
+    ],
+    ids=["rel_tol", "t_hi", "t_lo", "sigma", "rel_tols"],
+)
+def test_non_numeric_argument_named(call, message):
+    with pytest.raises(DomainError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
 def test_additivity_over_splits():
     rng = np.random.default_rng(17)
     whole = moments.hybrid_moment(0, 300, 0.5, 0, rel_tol=1e-4)

@@ -1,6 +1,7 @@
 """Every runtime dependency declared in pyproject.toml imports, every
-exported name resolves, and the package holds no function only tests call
-and no parameter its function never reads."""
+exported name resolves, and the package holds no function only tests call,
+no parameter its function never reads and no import its module never
+reads."""
 
 import ast
 import importlib
@@ -94,6 +95,25 @@ def test_no_unread_parameter():
                 read = _reads(node)
                 unread += [(node.name, p.arg) for p in params if p and p.arg != "self" and p.arg not in read]
     assert sorted(unread) == UNREAD_PARAMETERS
+
+
+def test_no_unused_import():
+    # an imported name its module never reads is dead weight at every
+    # import; __init__ re-exports the names in its __all__, and a
+    # `from __future__` import changes how the module compiles
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        if path.name == "__init__.py":
+            read |= set(zetalab.__all__)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [(alias.asname or alias.name).partition(".")[0] for alias in node.names]
+                unused += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert not unused, f"imported but never read: {unused}"
 
 
 def test_no_dead_config_field():

@@ -176,3 +176,22 @@ def test_pointwise_bound_from_pair():
         pairs.pointwise_bound_from_pair(pairs.ExponentPair(F(1, 2), F(1, 2)), F(1, 2))
     with pytest.raises(DomainError):
         pairs.pointwise_bound_from_pair(base, F(1, 4))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pairs.generate_pairs("3"), "max_word_length must be a nonnegative integer, got '3'"),
+        (lambda: pairs.generate_pairs(2.5), "max_word_length must be a nonnegative integer, got 2.5"),
+        (lambda: pairs.generate_pairs(-1), "max_word_length must be a nonnegative integer, got -1"),
+        (lambda: pairs.pointwise_bound_from_pair(pairs.ExponentPair(F(0), F(1)), "x"),
+         "sigma must be a real number, got 'x'"),
+        (lambda: pairs.pointwise_bound_from_pair(pairs.ExponentPair(F(0), F(1)), float("nan")),
+         "sigma must be a real number, got nan"),
+    ],
+    ids=["depth-str", "depth-float", "depth-negative", "sigma-str", "sigma-nan"],
+)
+def test_typed_errors(call, message):
+    with pytest.raises(DomainError) as raised:
+        call()
+    assert str(raised.value) == message
