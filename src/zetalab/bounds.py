@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
-from .errors import DomainError
+from .errors import DomainError, int_arg, rational_arg
 
 Rationalish = Union[int, float, Fraction, str]
 
@@ -42,20 +42,6 @@ ANCHOR_HIGH = Fraction(7077535, 10**8)
 
 _VARIANTS_ORDER = (None, "ivic-ouellet")
 _VARIANTS_CURVE = (None, "ford")
-
-
-def _coerce(x: Rationalish, name: str) -> Fraction:
-    """Convert to Fraction, rejecting non-finite floats.
-
-    Floats are converted via their exact binary value; callers who care about
-    decimal exactness should pass Fraction or str.
-    """
-    if isinstance(x, float) and not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    try:
-        return Fraction(x)
-    except (ValueError, TypeError) as exc:
-        raise DomainError(f"{name} is not a rational-convertible value: {x!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -84,7 +70,7 @@ class PiecewiseBound:
             raise ValueError(f"{self.label}: breakpoints must increase, got {self.breaks}")
 
     def __call__(self, x: Rationalish) -> Fraction:
-        xf = _coerce(x, self.label + " argument")
+        xf = rational_arg(self.label + " argument", x)
         k = bisect_right(self.breaks, xf) - 1
         if k < 0:
             raise DomainError(
@@ -123,7 +109,7 @@ def moment_excess(order: Rationalish) -> Fraction:
     Exact when the order is rational. Continuous and nondecreasing; 0 at
     order 4 (the classical fourth-moment point).
     """
-    A = _coerce(order, "order")
+    A = rational_arg("order", order)
     if A < 4:
         raise DomainError(f"moment order must be >= 4, got {order}")
     return moment_excess_table()(A)
@@ -185,7 +171,7 @@ def max_bounded_order(sigma: Rationalish, variant: Optional[str] = None) -> Frac
     """
     if variant not in _VARIANTS_ORDER:
         raise DomainError(f"unknown variant {variant!r}; expected one of {_VARIANTS_ORDER}")
-    s = _coerce(sigma, "sigma")
+    s = rational_arg("sigma", sigma)
     if not (HALF < s < 1):
         raise DomainError(f"sigma must lie in (1/2, 1), got {sigma}")
     base = bounded_order_table()(s)
@@ -210,8 +196,7 @@ def interpolation_anchor(q: int) -> tuple[Fraction, Fraction]:
     Defined for q >= 3; the q = 2 lattice point is superseded by the sharper
     leading anchor at 5/7.
     """
-    if not isinstance(q, int) or q < 3:
-        raise DomainError(f"anchor index must be an integer >= 3, got {q!r}")
+    q = int_arg("anchor index", q, 3)
     d = 2 ** (q + 2) - 2
     return 1 - Fraction(q + 2, d), Fraction(1, d)
 
@@ -227,8 +212,8 @@ def convex_interpolate(
 
     Returns c1*(s2-s)/(s2-s1) + c2*(s-s1)/(s2-s1); exact for rational input.
     """
-    s1, s2, s = (_coerce(v, n) for v, n in ((sigma1, "sigma1"), (sigma2, "sigma2"), (sigma, "sigma")))
-    v1, v2 = _coerce(c1, "c1"), _coerce(c2, "c2")
+    s1, s2, s = (rational_arg(n, v) for n, v in (("sigma1", sigma1), ("sigma2", sigma2), ("sigma", sigma)))
+    v1, v2 = rational_arg("c1", c1), rational_arg("c2", c2)
     if not s1 < s2:
         raise DomainError(f"need sigma1 < sigma2, got {sigma1}, {sigma2}")
     if not (s1 <= s <= s2):
@@ -253,7 +238,7 @@ def pointwise_exponent(
     """
     if variant not in _VARIANTS_CURVE:
         raise DomainError(f"unknown variant {variant!r}; expected one of {_VARIANTS_CURVE}")
-    s = _coerce(sigma, "sigma")
+    s = rational_arg("sigma", sigma)
     if not (ANCHOR_ABSCISSA <= s < 1):
         raise DomainError(f"sigma must lie in [5/7, 1), got {sigma}")
     # walk successive anchors until the bracket [lo, hi] contains s
@@ -306,9 +291,8 @@ def moment_threshold(sigma0: Rationalish, j: int) -> ThresholdReport:
     Raises DomainError when that threshold falls outside (1/2, 1), as it does
     where the order only just exceeds 2j (sigma0 = 5001/8000, j = 4).
     """
-    if not isinstance(j, int) or j < 1:
-        raise DomainError(f"j must be a positive integer, got {j!r}")
-    s0 = _coerce(sigma0, "sigma0")
+    j = int_arg("j", j)
+    s0 = rational_arg("sigma0", sigma0)
     if not (HALF <= s0 < 1):
         raise DomainError(f"sigma0 must lie in [1/2, 1), got {sigma0}")
     order = bounded_order_table()(s0)
@@ -347,8 +331,7 @@ def threshold_sequence(j_max: int) -> list[ThresholdReport]:
     Exact rationals throughout; each report carries the sensitivity bracket
     obtained by re-running with the high end of the anchor truncation.
     """
-    if not isinstance(j_max, int) or j_max < 1:
-        raise DomainError(f"j_max must be a positive integer, got {j_max!r}")
+    j_max = int_arg("j_max", j_max)
     low = _sequence_values(j_max, ANCHOR_LOW)
     high = _sequence_values(j_max, ANCHOR_HIGH)
     base = moment_threshold(Fraction(5, 8), 1)
@@ -376,8 +359,7 @@ def admissible_shift_range(ell: int) -> tuple[Fraction, Fraction]:
     integer (ell even: ell/2; ell odd: (ell+1)/2). Supported for ell <= 12,
     the range covered by the computed threshold sequence.
     """
-    if not isinstance(ell, int) or ell < 1:
-        raise DomainError(f"ell must be a positive integer, got {ell!r}")
+    ell = int_arg("ell", ell)
     if ell > 12:
         raise DomainError(
             f"ell = {ell} unavailable: threshold sequence computed through j = 6 "

@@ -29,7 +29,7 @@ import numpy as np
 from mpmath import mp, mpc, mpf, workdps, workprec
 
 from . import _kernels
-from .errors import CeilingError, DomainError, PrecisionError, real_arg
+from .errors import CeilingError, DomainError, PrecisionError, complex_arg, int_arg, real_arg
 from .zetanum import _MP_LOCK, zeta_eval
 
 N_CEILING = 50_000_000
@@ -65,15 +65,15 @@ def _largest_divisor_count(k: int, N: int, i: int = 0, cap: int = 64) -> int:
     return best
 
 
-def _check_table_size(N: int, k: int, limit: float, what: str) -> None:
-    """DomainError unless N is a positive integer, CeilingError above
-    N_CEILING or when some d_k(n), n <= N, exceeds limit (what names it)."""
-    if not (isinstance(N, int) and N >= 1):
-        raise DomainError(f"N must be a positive integer, got {N!r}")
+def _check_table_size(N: int, k: int, limit: float, what: str) -> int:
+    """int_arg("N", N); CeilingError above N_CEILING or when some d_k(n),
+    n <= N, exceeds limit (what names it)."""
+    N = int_arg("N", N)
     if N > N_CEILING:
         raise CeilingError(f"N = {N} exceeds the table ceiling {N_CEILING}")
     if _largest_divisor_count(k, N) > limit:
         raise CeilingError(f"d_{k}(n) for n <= {N} exceeds {what}")
+    return N
 
 
 def sieve_divisor_counts(k: int, N: int) -> np.ndarray:
@@ -83,9 +83,8 @@ def sieve_divisor_counts(k: int, N: int) -> np.ndarray:
     sieve builds the table in exact int64 integers. Raises CeilingError
     when some d_k(n), n <= N, would not fit in int64.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise DomainError(f"k must be a positive integer, got {k!r}")
-    _check_table_size(N, k, np.iinfo(np.int64).max, "the int64 range of the table")
+    k = int_arg("k", k)
+    N = _check_table_size(N, k, np.iinfo(np.int64).max, "the int64 range of the table")
     counts = [math.comb(v + k - 1, k - 1) for v in range(N.bit_length())]
     return _kernels.multiplicative_table(
         N, lambda p, vmax: np.array(counts[: vmax + 1], dtype=np.int64), np.int64
@@ -117,7 +116,7 @@ class DivisorLedger:
 
     def summatory_at(self, X: float) -> float:
         """Sum of the weighted divisor values over n <= X (0 below 1)."""
-        real_arg("X", X)
+        X = real_arg("X", X)
         if not (X <= self.N and math.isfinite(X)):  # written so that NaN fails
             raise DomainError(f"X must be finite and at most the table ceiling N = {self.N}, got {X}")
         idx = int(math.floor(X))
@@ -126,26 +125,18 @@ class DivisorLedger:
         return float(self.summatory[idx])
 
 
-def _shift_arg(a) -> float:
-    """The shift a as a float; DomainError naming a if it is not a number."""
-    try:
-        return float(a)
-    except (TypeError, ValueError):
-        raise DomainError(f"a must be a real number, got {a!r}") from None
-
-
-def _ell_arg(ell, extra: Optional[int] = None) -> None:
-    """DomainError unless ell is a positive integer. Given extra, ell sets a
-    pole of order extra + ell, whose principal part _moments_to_coeffs
-    divides by k! for k below the order; k! passes the float64 range at
-    k = 171, so an order above 171 raises CeilingError naming ell."""
-    if not (isinstance(ell, int) and ell >= 1):
-        raise DomainError(f"ell must be a positive integer, got {ell!r}")
+def _ell_arg(ell, extra: Optional[int] = None) -> int:
+    """int_arg("ell", ell). Given extra, ell sets a pole of order extra +
+    ell, whose principal part _moments_to_coeffs divides by k! for k below
+    the order; k! passes the float64 range at k = 171, so an order above
+    171 raises CeilingError naming ell."""
+    ell = int_arg("ell", ell)
     if extra is not None and extra + ell > 171:
         raise CeilingError(
             f"ell = {ell} gives a pole of order {extra + ell}, over 171: its "
             "coefficient of log^k X divides by k!, past the float64 range from k = 171"
         )
+    return ell
 
 
 def weighted_divisor_table(ell: int, a, N: int) -> DivisorLedger:
@@ -160,14 +151,14 @@ def weighted_divisor_table(ell: int, a, N: int) -> DivisorLedger:
     d_(4+ell)(n), so the call raises CeilingError when some d_(4+ell)(n),
     n <= N, passes 2^53 at a = 0, or the float64 range at a > 0.
     """
-    _ell_arg(ell)
-    a_f = _shift_arg(a)
+    ell = _ell_arg(ell)
+    a_f = real_arg("a", a)
     if not (0.0 <= a_f < 0.5):
         raise DomainError(f"shift a must lie in [0, 1/2), got {a}")
     if a_f == 0.0:
-        _check_table_size(N, 4 + ell, 2**53, "2^53, past which the float64 table loses exact counts")
+        N = _check_table_size(N, 4 + ell, 2**53, "2^53, past which the float64 table loses exact counts")
     else:
-        _check_table_size(N, 4 + ell, sys.float_info.max, "the float64 range of the table")
+        N = _check_table_size(N, 4 + ell, sys.float_info.max, "the float64 range of the table")
     c4 = [math.comb(v + 3, 3) for v in range(N.bit_length())]
     cl = [math.comb(i + ell - 1, ell - 1) for i in range(N.bit_length())]
 
@@ -432,13 +423,19 @@ class MainTermPolynomial:
     diagnostics: dict = field(default_factory=dict)
 
     def evaluate(self, X: float) -> float:
-        real_arg("X", X)
+        """Both main-term polynomials at X > 0; PrecisionError past float64."""
+        X = real_arg("X", X)
         if not 0 < X < math.inf:  # written so that NaN fails
             raise DomainError(f"main terms need a finite X > 0, got {X}")
         L = math.log(X)
         lead = sum(c * L**k for k, c in enumerate(self.c_coeffs))
         sub = sum(c * L**k for k, c in enumerate(self.cprime_coeffs))
-        return X * lead + X ** (1.0 - self.a) * sub
+        value = X * lead + X ** (1.0 - self.a) * sub
+        if not math.isfinite(value):
+            raise PrecisionError(
+                f"main terms at X = {X:g}, ell = {self.ell}, a = {self.a:g} are not finite in float64"
+            )
+        return value
 
 
 def _moments_to_coeffs(moments: Sequence[mpc]) -> list[float]:
@@ -473,8 +470,8 @@ def main_terms(ell: int, a) -> MainTermPolynomial:
     poles merge into one that this construction does not cover. An ell
     above 171 raises CeilingError before any work (_ell_arg).
     """
-    _ell_arg(ell, 0)
-    a_f = _shift_arg(a)
+    ell = _ell_arg(ell, 0)
+    a_f = real_arg("a", a)
     if not (0.0 < a_f < 0.5):
         raise DomainError(
             f"main_terms takes a shift 0 < a < 1/2, got {a}; at a = 0 the two "
@@ -540,14 +537,6 @@ def _log_power_integral(k: int, N: float, sigma: float) -> float:
     return I
 
 
-def _complex_arg(s) -> mpc:
-    """s as an mpc; DomainError naming s if it is not a number."""
-    try:
-        return mpc(s)
-    except (TypeError, ValueError):
-        raise DomainError(f"s must be a complex number, got {s!r}") from None
-
-
 def series_tail_bound(ell: int, s, N: int) -> float:
     """Computed bound for the tail sum beyond N of the weighted series at s.
 
@@ -558,10 +547,9 @@ def series_tail_bound(ell: int, s, N: int) -> float:
     around that density. A pole order 4 + ell above 171 raises
     CeilingError (_ell_arg).
     """
-    _ell_arg(ell, 4)
-    if not (isinstance(N, int) and N >= 1):
-        raise DomainError(f"N must be a positive integer, got {N!r}")
-    sigma = float(mp.re(_complex_arg(s)))
+    ell = _ell_arg(ell, 4)
+    N = int_arg("N", N)
+    sigma = float(mp.re(complex_arg("s", s)))
     if not sigma > 1.05:  # written so that NaN fails
         raise DomainError(f"tail bound needs Re s > 1.05, got {sigma}")
     m = 4 + ell
@@ -589,22 +577,22 @@ def dirichlet_identity_check(
     167, which series_tail_bound refuses, raises CeilingError before the
     table is built.
     """
-    sC = _complex_arg(s)
-    if not float(mp.re(sC)) >= 1.5:  # written so that NaN fails
+    sC = mpc(complex_arg("s", s))
+    if not mp.re(sC) >= 1.5:
         raise DomainError(f"need Re s >= 1.5, got {mp.re(sC)}")
-    if not (isinstance(N, int) and N >= 10**4):
-        raise DomainError(f"need an integer N >= 10^4, got {N!r}")
-    _ell_arg(ell, 4)
+    N = int_arg("N", N, 10**4)
+    ell = _ell_arg(ell, 4)
+    a_f = real_arg("a", a)
     if ledger is None:
         ledger = weighted_divisor_table(ell, a, N)
-    elif ledger.N < N or ledger.ell != ell or float(ledger.a) != _shift_arg(a):
+    elif ledger.N < N or ledger.ell != ell or ledger.a != a_f:
         raise DomainError("ledger does not match the requested configuration")
     n = np.arange(1, N + 1, dtype=np.float64)
     sc = complex(sC)
     lhs = complex(np.sum(ledger.combined[1 : N + 1] * np.exp(-sc * np.log(n))))
     with _MP_LOCK:
         with workdps(25):
-            rhs_mp = zeta_eval(sC) ** 4 * zeta_eval(sC + float(a)) ** ell
+            rhs_mp = zeta_eval(sC) ** 4 * zeta_eval(sC + a_f) ** ell
     rhs = complex(rhs_mp)
     residual = abs(lhs - rhs)
     return IdentityCheck(
@@ -622,27 +610,9 @@ def dirichlet_identity_check(
 # ---------------------------------------------------------------------------
 
 
-def _summatory_and_main(ledger: DivisorLedger, poly: MainTermPolynomial, X: float) -> tuple:
-    """Exact summatory and main term at X, after checking the arguments.
-
-    X may sit below 1 (empty sum); X beyond the ledger ceiling is a range
-    error, raised by summatory_at. The polynomial must describe the same (ell, a) as the ledger.
-    """
-    if poly.ell != ledger.ell or float(poly.a) != float(ledger.a):
-        raise DomainError(
-            f"polynomial is for (ell={poly.ell}, a={poly.a}), ledger holds "
-            f"(ell={ledger.ell}, a={ledger.a})"
-        )
-    real_arg("X", X)
-    if not X > 0:  # written so that NaN fails
-        raise DomainError(f"X must be positive, got {X}")
-    return ledger.summatory_at(X), poly.evaluate(X)
-
-
 def error_term(ledger: DivisorLedger, poly: MainTermPolynomial, X: float) -> float:
     """Exact summatory at X minus both main-term polynomials."""
-    S, M = _summatory_and_main(ledger, poly, X)
-    return S - M
+    return error_trend(ledger, poly, [X])[0]["E"]
 
 
 def error_trend(
@@ -651,10 +621,16 @@ def error_trend(
     Xs: Sequence[float],
 ) -> list[dict]:
     """Rows (X, summatory, main_term, E, |E|/X^TREND_EXPONENT) for each X,
-    with E equal to error_term at X and the same validation."""
+    E the exact summatory (0 below 1) minus both main-term polynomials;
+    summatory_at and evaluate check X. poly must be for the ledger's (ell, a)."""
+    if (poly.ell, poly.a) != (ledger.ell, ledger.a):
+        raise DomainError(
+            f"polynomial is for (ell={poly.ell}, a={poly.a}), ledger holds "
+            f"(ell={ledger.ell}, a={ledger.a})"
+        )
     rows = []
     for X in Xs:
-        S, M = _summatory_and_main(ledger, poly, X)
+        S, M = ledger.summatory_at(X), poly.evaluate(X)
         E = S - M
         rows.append(
             {

@@ -1,12 +1,23 @@
-"""Exception hierarchy, and the check that an argument is a real number.
+"""Exception hierarchy, and the one place that decides an argument's kind.
 The CLI maps the exceptions onto exit codes:
 
     DomainError     -> 1 (validation)
     PrecisionError  -> 2 (numerical tolerance not met)
     CeilingError    -> 3 (resource ceiling)
+
+Each public entry point passes an argument through one rule, uses the
+value it returns and checks only the range itself. A rule refuses with a
+DomainError naming the argument:
+
+    int_arg       ell, N, k, j, q: numbers.Integral, numpy's too; no bool
+    real_arg      a, sigma, t, X: numbers.Real; no str
+    complex_arg   s: a finite numbers.Complex; no str
+    rational_arg  bounds, pairs' sigma: a finite Fraction(x); "0.6" is exact
 """
 
+import math
 import numbers
+from fractions import Fraction
 
 
 class ZetalabError(Exception):
@@ -35,3 +46,38 @@ def real_arg(name: str, x) -> float:
     if not isinstance(x, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {x!r}")
     return float(x)
+
+
+def int_arg(name: str, x, lo: int = 1) -> int:
+    """int(x); DomainError naming the argument unless x is an integer
+    (numbers.Integral: int and numpy integers, no bool) of at least lo."""
+    # int first: the ABC check costs ten type checks, once a pair in rank_pairs
+    if isinstance(x, (int, numbers.Integral)) and not isinstance(x, bool) and x >= lo:
+        return int(x)
+    kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(lo, f"an integer >= {lo}")
+    raise DomainError(f"{name} must be {kind}, got {x!r}")
+
+
+def complex_arg(name: str, x):
+    """x as a value mpmath takes without losing digits: an int or an mpmath
+    number (which carries _mpf_ or _mpc_) as it is, anything else (Fraction
+    and numpy numbers included) as complex(x). DomainError naming the
+    argument unless x is a finite complex number (numbers.Complex, no str).
+    mpmath is not imported here, so `import zetalab` does not load it."""
+    if not isinstance(x, numbers.Complex):
+        raise DomainError(f"{name} must be a complex number, got {x!r}")
+    value = x if isinstance(x, int) or hasattr(x, "_mpf_") or hasattr(x, "_mpc_") else complex(x)
+    if not (abs(value.real) < math.inf and abs(value.imag) < math.inf):  # NaN fails too
+        raise DomainError(f"{name} must be finite, got {x!r}")
+    return value
+
+
+def rational_arg(name: str, x) -> Fraction:
+    """Fraction(x), exact; DomainError naming the argument unless x is a
+    finite float, a numbers.Rational (int, Fraction, numpy integers) or a
+    decimal string. A float converts at its exact binary value, so "0.6"
+    or Fraction(3, 5), not 0.6, passes the decimal exactly."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a real number, got {x!r}") from None

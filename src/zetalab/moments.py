@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
-from .errors import CeilingError, DomainError, PrecisionError, real_arg
+from .errors import CeilingError, DomainError, PrecisionError, int_arg, real_arg
 
 T_CEILING = 1.0e5
 REL_TOL_FLOOR = 1.0e-6
@@ -214,28 +214,6 @@ def _overflow_message(a: float, b: float, sigma: float, j: int) -> str:
     return f"{where}: |zeta(sigma + it)|^(2j) exceeds float64 at this j; lower j"
 
 
-def _validate(t_lo: float, t_hi: float, sigma: float, j: int, rel_tols: list[float]) -> None:
-    for name, x in (("t_lo", t_lo), ("t_hi", t_hi), ("sigma", sigma)):
-        real_arg(name, x)
-    if not (isinstance(j, int) and j >= 0):
-        raise DomainError(f"j must be a nonnegative integer, got {j!r}")
-    if not (0.5 <= sigma <= 1.0):
-        raise DomainError(f"sigma must lie in [1/2, 1], got {sigma}")
-    if not (0.0 <= t_lo <= t_hi):
-        raise DomainError(f"need 0 <= t_lo <= t_hi, got [{t_lo}, {t_hi}]")
-    if sigma == 1.0 and j >= 1 and t_lo == 0.0:
-        raise DomainError(
-            "at sigma = 1 the integrand grows like t^(-2j) at t = 0 and is not "
-            "integrable there; start at t_lo > 0"
-        )
-    if t_hi > T_CEILING:
-        raise CeilingError(f"t_hi = {t_hi:g} exceeds the desk-scale ceiling {T_CEILING:g}")
-    for rel_tol in rel_tols:
-        # written so that NaN fails
-        if not rel_tol >= REL_TOL_FLOOR:
-            raise DomainError(f"rel_tol must be >= {REL_TOL_FLOOR:g}, got {rel_tol:g}")
-
-
 def hybrid_moment_trace(
     t_lo: float,
     t_hi: float,
@@ -259,11 +237,26 @@ def hybrid_moment_trace(
     of the value, while the value was within 3.2e-10 of a sum of two
     16-point Gauss-Legendre halves on each of the same panels.
     """
-    try:
-        tols = [real_arg("rel_tol", x) for x in rel_tols]
-    except TypeError:  # rel_tols is not iterable
-        raise DomainError(f"rel_tols must be a sequence of numbers, got {rel_tols!r}") from None
-    _validate(t_lo, t_hi, sigma, j, tols)
+    if isinstance(rel_tols, str) or not isinstance(rel_tols, Iterable):
+        raise DomainError(f"rel_tols must be a sequence of numbers, got {rel_tols!r}")
+    tols = [real_arg("rel_tol", x) for x in rel_tols]
+    t_lo, t_hi, sigma = (real_arg(n, x) for n, x in (("t_lo", t_lo), ("t_hi", t_hi), ("sigma", sigma)))
+    j = int_arg("j", j, 0)
+    if not (0.5 <= sigma <= 1.0):
+        raise DomainError(f"sigma must lie in [1/2, 1], got {sigma}")
+    if not (0.0 <= t_lo <= t_hi):
+        raise DomainError(f"need 0 <= t_lo <= t_hi, got [{t_lo}, {t_hi}]")
+    if sigma == 1.0 and j >= 1 and t_lo == 0.0:
+        raise DomainError(
+            "at sigma = 1 the integrand grows like t^(-2j) at t = 0 and is not "
+            "integrable there; start at t_lo > 0"
+        )
+    if t_hi > T_CEILING:
+        raise CeilingError(f"t_hi = {t_hi:g} exceeds the desk-scale ceiling {T_CEILING:g}")
+    for rel_tol in tols:
+        # written so that NaN fails
+        if not rel_tol >= REL_TOL_FLOOR:
+            raise DomainError(f"rel_tol must be >= {REL_TOL_FLOOR:g}, got {rel_tol:g}")
     if not tols or any(b >= a for a, b in zip(tols, tols[1:])):
         raise DomainError(f"rel_tols must be strictly decreasing, got {rel_tols}")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import DomainError
+from .errors import DomainError, int_arg, rational_arg
 
 # Feasibility marker returned where a closed-form bound does not apply.
 INFEASIBLE = "infeasible"
@@ -63,8 +63,7 @@ def hybrid_sigma_bound(j: int, pair: ExponentPair) -> Union[Fraction, str]:
 
     Applies only when l + (2j-1)k < 1; otherwise returns INFEASIBLE.
     """
-    if not isinstance(j, int) or j < 1:
-        raise DomainError(f"j must be a positive integer, got {j!r}")
+    j = int_arg("j", j)
     k, l = pair.k, pair.l
     if not l + (2 * j - 1) * k < 1:
         return INFEASIBLE
@@ -77,10 +76,7 @@ def pointwise_bound_from_pair(pair: ExponentPair, sigma) -> Fraction:
     Valid for sigma >= 1/2 with l - k >= sigma; violations name the failed
     inequality.
     """
-    try:
-        s = Fraction(sigma)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"sigma must be a real number, got {sigma!r}") from None
+    s = rational_arg("sigma", sigma)
     if not s >= Fraction(1, 2):
         raise DomainError(f"sigma >= 1/2 fails: sigma = {sigma}")
     if not pair.l - pair.k >= s:
@@ -100,8 +96,7 @@ def generate_pairs(max_word_length: int) -> list[ExponentPair]:
     extends the best word for its parent's value, so none is missed.
     Deterministic.
     """
-    if not (isinstance(max_word_length, int) and max_word_length >= 0):
-        raise DomainError(f"max_word_length must be a nonnegative integer, got {max_word_length!r}")
+    max_word_length = int_arg("max_word_length", max_word_length, 0)
     found: list[ExponentPair] = []
     seen: set[tuple[Fraction, Fraction]] = set()
     level = [ExponentPair(k, l) for k, l in BASE_PAIRS]

@@ -15,14 +15,12 @@ numbers, which are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import numbers
 import threading
-from typing import Union
 
 from mpmath import bernoulli, conj, fabs, gamma, mp, mpc, mpf, power, workdps
 
-from .errors import CeilingError, DomainError, PrecisionError
-
-Complexish = Union[int, float, complex, mpf, mpc]
+from .errors import CeilingError, DomainError, PrecisionError, complex_arg
 
 IM_CEILING = 1.0e5
 
@@ -65,7 +63,7 @@ def _euler_maclaurin(s: mpc) -> mpc:
     )
 
 
-def zeta_eval(s: Complexish) -> mpc:
+def zeta_eval(s: numbers.Complex) -> mpc:
     """zeta(s) to an absolute error of 1e-21, for Re s > 0.
 
     It works at 25 digits plus 10 guard digits. Euler-Maclaurin with
@@ -77,16 +75,11 @@ def zeta_eval(s: Complexish) -> mpc:
     conj(zeta(conj(s))), conjugated at the working precision, so
     zeta_eval(conj(s)) == conj(zeta_eval(s)) bit for bit.
 
-    Raises DomainError at the pole s = 1, for Re s <= 0 and for a
-    non-finite s, CeilingError past |Im s| = IM_CEILING, PrecisionError
+    Raises DomainError at the pole s = 1, for Re s <= 0 and for an s that
+    is not a finite complex number (errors.complex_arg), CeilingError past |Im s| = IM_CEILING, PrecisionError
     when the tail does not reach 1e-21.
     """
-    try:
-        sC = mpc(s)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"not a complex value: {s!r}") from exc
-    if not mp.isfinite(sC):
-        raise DomainError(f"s must be finite, got {s!r}")
+    sC = mpc(complex_arg("s", s))
     if sC == 1:
         raise DomainError("zeta has a pole at s = 1")
     if not mp.re(sC) > 0:

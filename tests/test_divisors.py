@@ -430,6 +430,15 @@ def test_evaluate_rejects_nonpositive(poly_1_04):
             poly_1_04.evaluate(X)
 
 
+def test_evaluate_overflow_raises(poly_2_035):
+    # a finite X whose main terms leave the float64 range raises a typed
+    # error naming X, ell and a instead of returning inf
+    assert math.isfinite(poly_2_035.evaluate(10.0**299.4))
+    with pytest.raises(PrecisionError) as raised:
+        poly_2_035.evaluate(10.0**299.5)
+    assert str(raised.value) == "main terms at X = 3.16228e+299, ell = 2, a = 0.35 are not finite in float64"
+
+
 def test_non_numeric_x_named(ledger_2_035, poly_2_035):
     for call in (
         lambda: ledger_2_035.summatory_at("5"),
@@ -499,7 +508,7 @@ def test_identity_validation():
     with pytest.raises(DomainError):
         dirichlet_identity_check(1, 0.3, math.nan, 10**4)
     ledger = weighted_divisor_table(1, 0.3, 20000)
-    with pytest.raises(DomainError, match="integer N"):
+    with pytest.raises(DomainError, match=r"^N must be an integer >= 10000, got 20000.0$"):
         dirichlet_identity_check(1, 0.3, 2.0, 20000.0, ledger=ledger)
     # past zeta_eval's ceiling on |Im s| the check raises its typed error
     with pytest.raises(CeilingError) as raised:
@@ -573,12 +582,15 @@ def test_pole_order_ceiling_edge():
         (main_terms, (1, "abc")),
         (main_terms, (1, None)),
         (dirichlet_identity_check, (2, "abc", 2.0, 10**4)),
+        (weighted_divisor_table, (2, "0.35", 1000)),
+        (main_terms, (1, "0.4")),
     ],
-    ids=["weighted_divisor_table", "main_terms-str", "main_terms-None", "dirichlet_identity_check"],
+    ids=["weighted_divisor_table", "main_terms-str", "main_terms-None", "dirichlet_identity_check",
+         "weighted_divisor_table-numeric-str", "main_terms-numeric-str"],
 )
 def test_shift_must_be_a_number(check, args):
-    # a shift that is not a number is named by a DomainError, not by the
-    # ValueError or TypeError of float()
+    # a shift that is not a number, a numeric string included, is named by
+    # a DomainError, not by the ValueError or TypeError of float()
     with pytest.raises(DomainError, match=r"^a must be a real number"):
         check(*args)
 

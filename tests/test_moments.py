@@ -48,8 +48,10 @@ def test_validation_errors():
         (lambda: moments.hybrid_moment(0, 10, None, 0), "sigma must be a real number, got None"),
         (lambda: moments.hybrid_moment_trace(0, 10, 0.5, 0, None),
          "rel_tols must be a sequence of numbers, got None"),
+        (lambda: moments.hybrid_moment_trace(0, 10, 0.75, 1, "1e-3"),
+         "rel_tols must be a sequence of numbers, got '1e-3'"),
     ],
-    ids=["rel_tol", "t_hi", "t_lo", "sigma", "rel_tols"],
+    ids=["rel_tol", "t_hi", "t_lo", "sigma", "rel_tols", "rel_tols-str"],
 )
 def test_non_numeric_argument_named(call, message):
     with pytest.raises(DomainError) as raised:
@@ -146,7 +148,7 @@ def test_panel_ceiling_reported_not_raised(monkeypatch):
 
 
 def test_initial_panels_stay_below_ceiling():
-    # _panel_width decreases in t and _validate caps t_hi at T_CEILING, so
+    # _panel_width decreases in t and hybrid_moment_trace caps t_hi at T_CEILING, so
     # no window starts with more initial panels than this, and refinement
     # never begins at or above the budget
     widest = moments.T_CEILING / moments._panel_width(moments.T_CEILING) + 1

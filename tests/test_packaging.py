@@ -1,7 +1,7 @@
 """Every runtime dependency declared in pyproject.toml imports, every
 exported name resolves, and the package holds no function only tests call,
-no parameter its function never reads and no import its module never
-reads."""
+no parameter its function never reads, no import its module never reads
+and no argument type check outside errors.py."""
 
 import ast
 import importlib
@@ -114,6 +114,43 @@ def test_no_unused_import():
                 bound = [(alias.asname or alias.name).partition(".")[0] for alias in node.names]
                 unused += [f"{path.name}: {name}" for name in bound if name not in read]
     assert not unused, f"imported but never read: {unused}"
+
+
+def _raises_domain_error(handler: ast.ExceptHandler) -> bool:
+    return any(
+        isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call) and getattr(n.exc.func, "id", None) == "DomainError"
+        for n in ast.walk(handler)
+    )
+
+
+def _type_checks(tree: ast.AST) -> list:
+    """Lines of tree that decide an argument's kind by hand: an
+    isinstance(..., int), or a float, complex, mpc or Fraction call inside a
+    try whose handler raises DomainError."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            lines += [node.lineno for k in kinds if getattr(k, "id", None) == "int"]
+        elif isinstance(node, ast.Try) and any(_raises_domain_error(h) for h in node.handlers):
+            lines += [
+                n.lineno for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Call) and getattr(n.func, "id", None) in {"float", "complex", "mpc", "Fraction"}
+            ]
+    return sorted(lines)
+
+
+def test_argument_kinds_checked_in_errors_only():
+    # what counts as an integer, a real, a complex number or an exact
+    # rational is decided by the rules in errors.py, so that every entry
+    # point accepts and refuses the same kinds; a module checks ranges only
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "errors.py"
+        for line in _type_checks(ast.parse(path.read_text()))
+    ]
+    assert not found, f"argument kind checked outside errors.py: {found}"
 
 
 def test_no_dead_config_field():
