@@ -13,8 +13,8 @@ of zeta around each pole and checked in float64 against one contour per
 pole, whose zeta values come from one vectorised call. The series of zeta
 (its regular part at 1, which holds the Stieltjes constants, and its
 Taylor coefficients at 1 +- a) come from one Euler-Maclaurin pass in
-power-series arithmetic, _zeta_series. The error term is
-the exact summatory minus both evaluated main-term polynomials.
+power-series arithmetic, _zeta_series. The error term is the exact
+summatory minus both main-term polynomials, in one numpy pass over all X.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from mpmath import mp, mpc, mpf, workdps, workprec
 
 from . import _kernels
-from .errors import CeilingError, DomainError, PrecisionError, complex_arg, int_arg, real_arg
+from .errors import CeilingError, DomainError, PrecisionError, complex_arg, int_arg, real_arg, reals_arg
 from .zetanum import _MP_LOCK, zeta_eval
 
 N_CEILING = 50_000_000
@@ -91,6 +91,15 @@ def sieve_divisor_counts(k: int, N: int) -> np.ndarray:
     )
 
 
+def _reals(X) -> tuple[np.ndarray, bool]:
+    # X as a float64 array, and whether X was one real: a real goes in as a
+    # one-element array, so it equals an array's entry bit for bit (0-d takes libm).
+    # A ragged nesting has a shape as an object array, and reals_arg refuses it
+    if np.ndim(X if hasattr(X, "ndim") else np.asarray(X, dtype=object)) == 0:
+        return np.atleast_1d(real_arg("X", X)), True
+    return np.asarray(reals_arg("Xs", X, "X"), dtype=np.float64), False
+
+
 @dataclass
 class DivisorLedger:
     """One table, the weighted values combined[n] for n <= N, and its
@@ -114,15 +123,14 @@ class DivisorLedger:
         """d_ell(n) for n <= N, sieved on every read."""
         return sieve_divisor_counts(self.ell, self.N)
 
-    def summatory_at(self, X: float) -> float:
-        """Sum of the weighted divisor values over n <= X (0 below 1)."""
-        X = real_arg("X", X)
-        if not (X <= self.N and math.isfinite(X)):  # written so that NaN fails
-            raise DomainError(f"X must be finite and at most the table ceiling N = {self.N}, got {X}")
-        idx = int(math.floor(X))
-        if idx < 1:
-            return 0.0
-        return float(self.summatory[idx])
+    def summatory_at(self, X):
+        """Sum of the weighted values over n <= X (0 below 1); an array at an array X."""
+        xs, scalar = _reals(X)
+        ok = (xs <= self.N) & np.isfinite(xs)
+        if not ok.all():
+            raise DomainError(f"X must be finite and at most the table ceiling N = {self.N}, got {xs[~ok][0]}")
+        out = self.summatory[np.floor(np.maximum(xs, 0.0)).astype(np.intp)]  # [0] is the empty sum
+        return float(out[0]) if scalar else out
 
 
 def _ell_arg(ell, extra: Optional[int] = None) -> int:
@@ -422,20 +430,23 @@ class MainTermPolynomial:
     cprime_coeffs: tuple
     diagnostics: dict = field(default_factory=dict)
 
-    def evaluate(self, X: float) -> float:
-        """Both main-term polynomials at X > 0; PrecisionError past float64."""
-        X = real_arg("X", X)
-        if not 0 < X < math.inf:  # written so that NaN fails
-            raise DomainError(f"main terms need a finite X > 0, got {X}")
-        L = math.log(X)
-        lead = sum(c * L**k for k, c in enumerate(self.c_coeffs))
-        sub = sum(c * L**k for k, c in enumerate(self.cprime_coeffs))
-        value = X * lead + X ** (1.0 - self.a) * sub
-        if not math.isfinite(value):
+    def evaluate(self, X):
+        """Both main-term polynomials at X > 0, an array at an array X; PrecisionError past float64."""
+        xs, scalar = _reals(X)
+        ok = (xs > 0) & (xs < math.inf)  # NaN fails
+        if not ok.all():
+            raise DomainError(f"main terms need a finite X > 0, got {xs[~ok][0]}")
+        L = np.log(xs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lead = sum(c * L**k for k, c in enumerate(self.c_coeffs))
+            sub = sum(c * L**k for k, c in enumerate(self.cprime_coeffs))
+            value = xs * lead + xs ** (1.0 - self.a) * sub
+        ok = np.isfinite(value)
+        if not ok.all():
             raise PrecisionError(
-                f"main terms at X = {X:g}, ell = {self.ell}, a = {self.a:g} are not finite in float64"
+                f"main terms at X = {xs[~ok][0]:g}, ell = {self.ell}, a = {self.a:g} are not finite in float64"
             )
-        return value
+        return float(value[0]) if scalar else value
 
 
 def _moments_to_coeffs(moments: Sequence[mpc]) -> list[float]:
@@ -610,35 +621,27 @@ def dirichlet_identity_check(
 # ---------------------------------------------------------------------------
 
 
-def error_term(ledger: DivisorLedger, poly: MainTermPolynomial, X: float) -> float:
-    """Exact summatory at X minus both main-term polynomials."""
-    return error_trend(ledger, poly, [X])[0]["E"]
-
-
-def error_trend(
-    ledger: DivisorLedger,
-    poly: MainTermPolynomial,
-    Xs: Sequence[float],
-) -> list[dict]:
-    """Rows (X, summatory, main_term, E, |E|/X^TREND_EXPONENT) for each X,
-    E the exact summatory (0 below 1) minus both main-term polynomials;
-    summatory_at and evaluate check X. poly must be for the ledger's (ell, a)."""
+def _check_pair(ledger: DivisorLedger, poly: MainTermPolynomial) -> None:
     if (poly.ell, poly.a) != (ledger.ell, ledger.a):
-        raise DomainError(
-            f"polynomial is for (ell={poly.ell}, a={poly.a}), ledger holds "
-            f"(ell={ledger.ell}, a={ledger.a})"
-        )
-    rows = []
-    for X in Xs:
-        S, M = ledger.summatory_at(X), poly.evaluate(X)
-        E = S - M
-        rows.append(
-            {
-                "X": float(X),
-                "summatory": S,
-                "main_term": M,
-                "E": E,
-                "normalized": abs(E) / float(X) ** TREND_EXPONENT,
-            }
-        )
-    return rows
+        raise DomainError(f"polynomial is for (ell={poly.ell}, a={poly.a}), "
+                          f"ledger holds (ell={ledger.ell}, a={ledger.a})")
+
+
+def error_term(ledger: DivisorLedger, poly: MainTermPolynomial, X):
+    """summatory_at(X) - evaluate(X) at a real X (a float) or at each entry of
+    a sequence or array of reals (an array); poly must be for the ledger's (ell, a)."""
+    _check_pair(ledger, poly)
+    return ledger.summatory_at(X) - poly.evaluate(X)
+
+
+def error_trend(ledger: DivisorLedger, poly: MainTermPolynomial, Xs: Sequence[float]) -> list[dict]:
+    """Rows (X, summatory, main_term, E, |E|/X^TREND_EXPONENT) at each entry of
+    Xs (reals_arg) from one summatory_at and one evaluate over all of them, so
+    each E is error_term's at that X. poly must be for the ledger's (ell, a)."""
+    _check_pair(ledger, poly)
+    xs = np.asarray(reals_arg("Xs", Xs, "X"), dtype=np.float64)
+    S, M = ledger.summatory_at(xs), poly.evaluate(xs)
+    return [
+        {"X": x, "summatory": s, "main_term": m, "E": s - m, "normalized": abs(s - m) / x**TREND_EXPONENT}
+        for x, s, m in zip(xs.tolist(), S.tolist(), M.tolist())
+    ]

@@ -11,8 +11,9 @@ DomainError naming the argument:
 
     int_arg       ell, N, k, j, q: numbers.Integral, numpy's too; no bool
     real_arg      a, sigma, t, X: numbers.Real; no str
+    reals_arg     Xs, rel_tols: a sequence or numpy array of reals; no str
     complex_arg   s: a finite numbers.Complex; no str
-    rational_arg  bounds, pairs' sigma: a finite Fraction(x); "0.6" is exact
+    rational_arg  bounds, pairs: a finite Fraction(x); "0.6" is exact
 """
 
 import math
@@ -48,6 +49,16 @@ def real_arg(name: str, x) -> float:
     return float(x)
 
 
+def reals_arg(name: str, xs, item: str):
+    """xs as floats: a numpy int or float array in one astype, any other
+    iterable but a str or a 0-d array by real_arg(item, x); else DomainError."""
+    if getattr(xs, "ndim", 0) and xs.dtype.kind in "iuf":
+        return xs.astype(float)
+    if isinstance(xs, (str, bytes)) or not hasattr(xs, "__iter__") or getattr(xs, "ndim", 1) == 0:
+        raise DomainError(f"{name} must be a sequence of numbers, got {xs!r}")
+    return [real_arg(item, x) for x in xs]
+
+
 def int_arg(name: str, x, lo: int = 1) -> int:
     """int(x); DomainError naming the argument unless x is an integer
     (numbers.Integral: int and numpy integers, no bool) of at least lo."""
@@ -74,10 +85,10 @@ def complex_arg(name: str, x):
 
 def rational_arg(name: str, x) -> Fraction:
     """Fraction(x), exact; DomainError naming the argument unless x is a
-    finite float, a numbers.Rational (int, Fraction, numpy integers) or a
-    decimal string. A float converts at its exact binary value, so "0.6"
+    finite numbers.Real (numpy's too) or a decimal string. A real that is
+    not rational converts at the exact binary value of float(x), so "0.6"
     or Fraction(3, 5), not 0.6, passes the decimal exactly."""
     try:
-        return Fraction(x)
+        return Fraction(float(x) if isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational) else x)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{name} must be a real number, got {x!r}") from None

@@ -31,7 +31,7 @@ class ExponentPair:
     """Exponent pair (k, l) with the A/B word that generated it.
 
     word is over {A, B}, leftmost letter applied first to the base pair;
-    "" denotes a base pair itself.
+    "" denotes a base pair itself. k and l are stored as exact Fractions.
     """
 
     k: Fraction
@@ -39,6 +39,8 @@ class ExponentPair:
     word: str = ""
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", rational_arg("k", self.k))
+        object.__setattr__(self, "l", rational_arg("l", self.l))
         if not (0 <= self.k <= Fraction(1, 2) <= self.l <= 1):
             raise DomainError(
                 f"not an exponent pair: k={self.k}, l={self.l} "

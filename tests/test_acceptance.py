@@ -356,8 +356,8 @@ def test_criterion_10_divisor_tables(dirichlet_convolution):
 
 def _window_stats(ledger, poly, X):
     """RMS and mean of E(x)/x over every integer x in the window (X/10, X]."""
-    xs = range(X // 10 + 1, X + 1)
-    ratios = np.array([error_term(ledger, poly, x) / x for x in xs])
+    xs = np.arange(X // 10 + 1, X + 1)
+    ratios = error_term(ledger, poly, xs) / xs
     return math.sqrt(float(np.mean(ratios**2))), float(np.mean(ratios))
 
 

@@ -69,3 +69,16 @@ def test_s_arguments(call):
     for bad in ("2", math.inf, math.nan, complex(2.0, math.nan)):
         with pytest.raises(DomainError, match=r"^s must be (a complex number|finite), got "):
             call(bad)
+
+
+def test_rational_arguments_take_numpy_floats():
+    # a real that is not rational converts at the binary value of float(x)
+    assert bounds.max_bounded_order(np.float32(0.75)) == bounds.max_bounded_order(0.75)
+
+
+def test_pair_fields_are_exact():
+    pair = pairs.ExponentPair(0.25, "0.75")
+    assert (type(pair.k), type(pair.l)) == (Fraction, Fraction)
+    assert (pair.k, pair.l) == (F(1, 4), F(3, 4))
+    with pytest.raises(DomainError, match=r"^k must be a real number, got None$"):
+        pairs.ExponentPair(None, 1)

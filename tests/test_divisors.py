@@ -641,6 +641,52 @@ def test_error_trend_rows(ledger_2_035, poly_2_035):
         assert r["summatory"] - r["main_term"] == r["E"]
 
 
+def _main_term_by_math(poly, X):
+    # the main terms in Python floats, through libm's log and pow
+    L = math.log(X)
+    lead = sum(c * L**k for k, c in enumerate(poly.c_coeffs))
+    sub = sum(c * L**k for k, c in enumerate(poly.cprime_coeffs))
+    return X * lead + X ** (1.0 - poly.a) * sub
+
+
+def test_error_term_array_is_the_scalar(ledger_2_035, poly_2_035):
+    # a real goes through a one-element array, so every scalar equals its
+    # entry of one array pass bit for bit, and so does error_trend's E.
+    # numpy's log and power may differ from libm's in the last bit, so the
+    # main terms agree with a libm evaluation to 32 float64 epsilons
+    xs = np.arange(1, 10**5 + 1)
+    E = error_term(ledger_2_035, poly_2_035, xs)
+    assert all(error_term(ledger_2_035, poly_2_035, x) == e for x, e in zip(xs.tolist(), E.tolist()))
+    Xs = [10**3, 12345, 10**5]
+    assert [r["E"] for r in error_trend(ledger_2_035, poly_2_035, Xs)] == [E[x - 1] for x in Xs]
+    M = poly_2_035.evaluate(xs)
+    by_math = np.array([_main_term_by_math(poly_2_035, x) for x in xs.tolist()])
+    assert np.max(np.abs(M - by_math) / np.abs(by_math)) <= 32 * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0, 10**5 + 1])
+def test_error_term_array_refused_as_its_scalar(ledger_2_035, poly_2_035, bad):
+    with pytest.raises(DomainError) as scalar:
+        error_term(ledger_2_035, poly_2_035, bad)
+    for xs in (np.array([10.0, bad, 20.0]), [10, bad]):
+        with pytest.raises(DomainError) as array:
+            error_term(ledger_2_035, poly_2_035, xs)
+        assert str(array.value) == str(scalar.value)
+
+
+def test_ragged_x_refused_by_entry(ledger_2_035, poly_2_035):
+    # numpy would refuse a ragged nesting with a plain ValueError
+    with pytest.raises(DomainError, match=r"^X must be a real number, got \[2, 3\]$"):
+        error_term(ledger_2_035, poly_2_035, [1, [2, 3]])
+
+
+@pytest.mark.parametrize("Xs", ["55", None, np.array(5.0)])
+def test_error_trend_needs_a_sequence(ledger_2_035, poly_2_035, Xs):
+    with pytest.raises(DomainError) as raised:
+        error_trend(ledger_2_035, poly_2_035, Xs)
+    assert str(raised.value) == f"Xs must be a sequence of numbers, got {Xs!r}"
+
+
 def test_error_trend_validation(ledger_2_035, poly_2_035, poly_1_04):
     # the rows go through error_term's checks: a polynomial for another
     # (ell, a) and an X outside (0, N] are rejected, not tabulated

@@ -125,13 +125,15 @@ def _raises_domain_error(handler: ast.ExceptHandler) -> bool:
 
 def _type_checks(tree: ast.AST) -> list:
     """Lines of tree that decide an argument's kind by hand: an
-    isinstance(..., int), or a float, complex, mpc or Fraction call inside a
-    try whose handler raises DomainError."""
+    isinstance(..., int), a sequence check isinstance(..., str) or
+    isinstance(..., Iterable), or a float, complex, mpc or Fraction call
+    inside a try whose handler raises DomainError."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
             kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
-            lines += [node.lineno for k in kinds if getattr(k, "id", None) == "int"]
+            names = [getattr(k, "id", getattr(k, "attr", None)) for k in kinds]
+            lines += [node.lineno for name in names if name in {"int", "str", "Iterable"}]
         elif isinstance(node, ast.Try) and any(_raises_domain_error(h) for h in node.handlers):
             lines += [
                 n.lineno for stmt in node.body for n in ast.walk(stmt)
@@ -141,9 +143,10 @@ def _type_checks(tree: ast.AST) -> list:
 
 
 def test_argument_kinds_checked_in_errors_only():
-    # what counts as an integer, a real, a complex number or an exact
-    # rational is decided by the rules in errors.py, so that every entry
-    # point accepts and refuses the same kinds; a module checks ranges only
+    # what counts as an integer, a real, a sequence of reals, a complex
+    # number or an exact rational is decided by the rules in errors.py, so
+    # that every entry point accepts and refuses the same kinds; a module
+    # checks ranges only
     found = [
         f"{path.name}:{line}"
         for path in sorted(PACKAGE.glob("*.py"))
