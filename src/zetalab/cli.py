@@ -379,8 +379,9 @@ def cmd_divisor(ell: int, a: float, ceiling: int) -> Report:
     from . import divisors as _divisors
 
     report = Report()
-    ledger = _divisors.weighted_divisor_table(ell, a, ceiling)
+    # first, so that an ell past the pole-order ceiling is refused before the sieve
     poly = _divisors.main_terms(ell, a)
+    ledger = _divisors.weighted_divisor_table(ell, a, ceiling)
     decades = [10**k for k in range(3, int(math.log10(ceiling)) + 1)]
     Xs = [x for x in decades if x <= ceiling]
     if not Xs or Xs[-1] != ceiling:

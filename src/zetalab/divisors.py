@@ -11,10 +11,10 @@ the residues of that series times X^s/s at s = 1 (pole of order 4) and
 s = 1 - a (pole of order ell), read off products of truncated power series
 of zeta around each pole and checked in float64 against one contour per
 pole, whose zeta values come from one vectorised call. The series of zeta
-(its regular part at 1, which holds the Stieltjes constants, and its
-Taylor coefficients at 1 +- a) come from one Euler-Maclaurin pass in
-power-series arithmetic, _zeta_series. The error term is the exact
-summatory minus both main-term polynomials, in one numpy pass over all X.
+come from its Laurent series at 1 alone: one cached Euler-Maclaurin pass
+gives the regular part (the Stieltjes constants), and a Taylor shift of it
+plus the pole gives the coefficients at 1 +- a (_zeta_series). The error
+term, the exact summatory minus both main terms, is one numpy pass over all X.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ CONTOUR_NODES = 64
 CONTOUR_REL_TOL = 1.0e-8
 TREND_EXPONENT = 0.55  # error_trend's column |E|/X^(1/2+eps), at eps = 0.05
 
-_DPS = 30  # working digits of the main terms; 60 round to the same float64s
+_DPS = 30  # working digits of the main terms; 60 give the same float64s up to pole order 146
 
 
 # The first ten primes; their product 6469693230 exceeds N_CEILING.
@@ -200,33 +200,33 @@ def _series_product(x: list, y: list) -> list:
     return [mp.fsum(x[i] * y[k - i] for i in range(k + 1)) for k in range(len(x))]
 
 
-# Guard bits of _zeta_series: its fixed-point sums lose at most a few bits
-# to the roundings of each product, and its N-term sums cancel at most
-# about N^2 times the size of the result, with N below 2^10.
+# Guard bits of the fixed-point series: its sums lose at most a few bits to
+# the roundings of each product, and its N-term sums cancel at most about
+# N^2 times the size of the result, with N below 2^10.
 _SERIES_GUARD_BITS = 30
 
 
 @lru_cache(maxsize=None)
 def _em_plan(K: int, prec: int) -> tuple[int, int]:
-    """Euler-Maclaurin cut (N, M) for _zeta_series: N - 1 terms of the sum
+    """Euler-Maclaurin cut (N, M) for _regular_part: N - 1 terms of the sum
     and M tail terms, so that each of the K coefficients errs by at most
-    2^(-prec), at every centre c in [1/2, 3/2].
+    2^(-prec).
 
     The remainder after M tail terms obeys |R_M(s)| <= |B_2M| / (2M)! *
-    |(s)_2M| * N^(1-sigma-2M) / (sigma+2M-1), and |B_2M| / (2M)! =
-    2 zeta(2M) / (2 pi)^2M <= (pi^2/3) / (2 pi)^2M. Bounded on the disc
-    |u| <= r around c, where |s| <= 3/2 + r and sigma >= 1/2 - r, it bounds
-    coefficient k of R_M(c + u) by Cauchy's estimate, divided by r^k.
-    Over r in {1/4, 1/2, 1} and 2M <= N, N and M take the pair that meets
-    2^(-prec) at the least cost, N (K + 50) + 3 M K integer products: a
-    term of the sum costs one mpmath exponential (about 50 products) and K
-    products, a tail term three series updates. With 2M <= N every
-    coefficient of (c + u)_(2j-1) N^(1-2j) stays below 2 in size, so the
-    fixed-point B_2j/(2j)! lose nothing to it.
+    |(s)_2M| * N^(1-sigma-2M) / (sigma+2M-1), and |B_2M| / (2M)! <=
+    (pi^2/3) / (2 pi)^2M. Bounded on the disc |u| <= r around s = 1 by
+    |s| <= 3/2 + r and sigma >= 1/2 - r (looser than that disc needs), it
+    bounds coefficient k of R_M(1 + u) by Cauchy's estimate, divided by
+    r^k. Over r in {1, 1/2, 1/4} and 2M <= N, N and M take the pair that
+    meets 2^(-prec) at the least modelled cost N (K + 50) + 3 M K. The
+    weight 50 per term of the sum fixes the pairs, and with them the last
+    bits of the coefficients; the bare count N K + 3 M K picks pairs that
+    run no faster. With 2M <= N every coefficient of (1 + u)_(2j-1)
+    N^(1-2j) stays below 2, so the fixed-point B_2j/(2j)! lose nothing.
     """
     target = -prec * math.log(2.0)
     best = None
-    for r in (0.25, 0.5, 1.0):
+    for r in (1.0, 0.5, 0.25):
         x, sigma = 1.5 + r, 0.5 - r
         per_k = -(K - 1) * math.log(r) if r < 1 else 0.0
         for N in range(2, 1024):
@@ -251,102 +251,98 @@ def _em_plan(K: int, prec: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _em_tables(N: int, M: int, W: int) -> tuple[list, list, list]:
-    """log n for n = 1..N, as mpf and in W-bit fixed point, and
-    B_2j / (2j)! for j = 1..M in W-bit fixed point, built on the first call
-    that needs them."""
+def _em_tables(N: int, M: int, W: int) -> tuple[list, list]:
+    """log n, n <= N, and B_2j / (2j)!, j <= M, times 2^W, as integers."""
     with workprec(W + 10):
-        logs = [mp.log(n) for n in range(1, N + 1)]
-        bern = [mp.bernoulli(2 * j) / mp.factorial(2 * j) for j in range(1, M + 1)]
-        return logs, [_to_fixed(x, W) for x in logs], [_to_fixed(x, W) for x in bern]
-
-
-def _to_fixed(x: mpf, W: int) -> int:
-    # x times 2^W, truncated to an integer
-    return int(mp.ldexp(x, W))
-
-
-def _zeta_series(c, K: int) -> list[mpf]:
-    """Taylor coefficients of zeta(c + u) in u, k = 0..K-1, for real c in
-    [1/2, 3/2] at the working precision; at c = 1 those of the regular part
-    zeta(1 + u) - 1/u, whose coefficient k is (-1)^k gamma_k / k! with
-    gamma_k the Stieltjes constants.
-
-    Euler-Maclaurin in power-series arithmetic (Johansson, Numer. Algorithms
-    69, 2015): with s = c + u,
-      zeta(s) = sum over n < N of n^(-s) + N^(1-s)/(s-1) + N^(-s)/2
-                + sum over j <= M of B_2j/(2j)! (s)_(2j-1) N^(1-s-2j) + R_M,
-    where n^(-s) = n^(-c) exp(-u log n), the pole term is N^(1-c) exp(-u log N)
-    times 1/(c - 1 + u) (at c = 1, (exp(-u log N) - 1)/u) and the rising
-    factorials are series in u. _em_plan picks N and M so that the
-    truncation moves each coefficient by at most 2^(-prec). The sums and
-    the tail run in fixed point, as integers scaled by 2^W with W = prec +
-    _SERIES_GUARD_BITS, each product rounded by at most 2^(-W); the pole
-    series, which grows like (c - 1)^(-k), runs in mpf at W bits. The
-    regular part at c = 1, a constant, is cached by (K, prec).
-    """
-    if K < 1:
-        return []
-    c = mpf(c)
-    if c == 1:
-        return list(_regular_part(K, mp.prec))
-    return list(_em_series(c, K, mp.prec))
+        logs = [int(mp.ldexp(mp.log(n), W)) for n in range(1, N + 1)]
+        bern = [int(mp.ldexp(mp.bernoulli(2 * j) / mp.factorial(2 * j), W)) for j in range(1, M + 1)]
+        return logs, bern
 
 
 @lru_cache(maxsize=None)
 def _regular_part(K: int, prec: int) -> tuple:
-    return _em_series(mpf(1), K, prec)
-
-
-def _em_series(c: mpf, K: int, prec: int) -> tuple:
+    """Coefficients k < K of the regular part zeta(1 + u) - 1/u, that is
+    (-1)^k gamma_k / k! with gamma_k the Stieltjes constants, each within
+    2^(-prec). Euler-Maclaurin in power-series arithmetic (Johansson,
+    Numer. Algorithms 69, 2015): with s = 1 + u and E(u) = N^(-u),
+      zeta(s) = sum over n < N of exp(-u log n) / n + E(u)/u + E(u) T(u) / N,
+      T(u) = 1/2 + sum over j <= M of B_2j/(2j)! (s)_(2j-1) N^(1-2j),
+    up to the remainder R_M, at the (N, M) of _em_plan. All of it runs in
+    fixed point, as integers scaled by 2^W with W = prec +
+    _SERIES_GUARD_BITS, each product rounded by at most 2^(-W).
+    """
     N, M = _em_plan(K, prec)
     W = prec + _SERIES_GUARD_BITS
-    logs, lfix, bfix = _em_tables(N, M, W)
+    lfix, bfix = _em_tables(N, M, W)
     one = 1 << W
-    with workprec(W):
-        # sum over n < N of n^(-c) (-log n)^k
-        acc = [one] + [0] * (K - 1)
-        for L, Lf in zip(logs[1 : N - 1], lfix[1 : N - 1]):
-            t = _to_fixed(mp.exp(-c * L), W)
-            acc[0] += t
-            for k in range(1, K):
-                t = (-t * Lf) >> W
-                acc[k] += t
-        # E(u) = N^(-u), coefficient k (-log N)^k / k!
-        E = [one]
-        for k in range(1, K + 1):
-            E.append(((-E[-1] * lfix[N - 1]) >> W) // k)
-        # T(u) = 1/2 + sum over j of B_2j/(2j)! (c + u)_(2j-1) N^(1-2j);
-        # rising holds (c + u)_(2j-1) N^(1-2j), below 2 since 2M <= N
-        cf = _to_fixed(c, W)
-        T = [one >> 1] + [0] * (K - 1)
-        rising = ([cf, one] + [0] * (K - 2))[:K]
-        rising = [x // N for x in rising]
-        for j, b in enumerate(bfix, start=1):
-            for k in range(K):
-                T[k] += (b * rising[k]) >> W
-            for alpha in (cf + (2 * j - 1) * one, cf + 2 * j * one):
-                rising = [(alpha * rising[0]) >> W] + [
-                    ((alpha * rising[k]) >> W) + rising[k - 1] for k in range(1, K)
-                ]
-            rising = [x // (N * N) for x in rising]
-        NmC = mp.exp(-c * logs[N - 1])
-        NmCf = _to_fixed(NmC, W)
-        # the pole term over N^(-c): N E(u) / (c - 1 + u)
-        w = c - 1
-        Em = [mp.ldexp(x, -W) for x in E]
-        if w == 0:
-            pole = Em[1:]
-        else:
-            pole = [Em[0] / w]
-            for k in range(1, K):
-                pole.append((Em[k] - pole[-1]) / w)
-        out = []
+    # sum over n < N of (-log n)^k / n
+    acc = [one] + [0] * (K - 1)
+    for n in range(2, N):
+        t = one // n
         for k in range(K):
-            ET = sum(E[i] * T[k - i] for i in range(k + 1)) >> W
-            fixed = acc[k] // math.factorial(k) + ((NmCf * ET) >> W)
-            out.append(mp.ldexp(fixed, -W) + NmC * N * pole[k])
+            acc[k] += t
+            t = (-t * lfix[n - 1]) >> W
+    # E(u), coefficient k (-log N)^k / k!; E(u)/u - 1/u has coefficient k E[k+1]
+    E = [one]
+    for k in range(1, K + 1):
+        E.append(((-E[-1] * lfix[N - 1]) >> W) // k)
+    # rising holds (1 + u)_(2j-1) N^(1-2j), below 2 since 2M <= N
+    T = [one >> 1] + [0] * (K - 1)
+    rising = ([one // N] * 2 + [0] * (K - 2))[:K]
+    for j, b in enumerate(bfix, start=1):
+        for k in range(K):
+            T[k] += (b * rising[k]) >> W
+        for alpha in (2 * j * one, (2 * j + 1) * one):
+            rising = [((alpha * x) >> W) + y for x, y in zip(rising, [0] + rising)]
+        rising = [x // (N * N) for x in rising]
+    ET = [sum(E[i] * T[k - i] for i in range(k + 1)) >> W for k in range(K)]
+    with workprec(W):
+        out = [mp.ldexp(acc[k] // math.factorial(k) + ET[k] // N + E[k + 1], -W) for k in range(K)]
     return tuple(+x for x in out)
+
+
+def _shift_length(K: int, prec: int) -> int:
+    """Least n such that the regular part's coefficients r_k, k >= n, move
+    none of the first K Taylor coefficients of zeta(1 + d + v), |d| <= 1/2,
+    by 2^(-prec): coefficient j takes r_k C(k, j) d^(k-j), at most
+    |r_k| 2^K. By Matsuoka's |gamma_k| <= 10^(-4) e^(k log log k), k >= 10
+    (Proc. Japan Acad. 61, 1985), and k! >= (k/e)^k, |r_k| <= 10^(-4) q^k
+    for k >= n with q = e log n / n, as e log k / k falls; so the terms sum
+    to at most 2^K 10^(-4) q^n / (1 - q).
+    """
+    n = max(10, K)
+    while True:
+        q = math.e * math.log(n) / n
+        if (K + prec) * math.log(2) + n * math.log(q) - math.log(1 - q) <= math.log(1e4):
+            return n
+        n += 1
+
+
+def _zeta_series(c, K: int) -> list[mpf]:
+    """Taylor coefficients k < K of zeta(c + u) in u, for real c in
+    [1/2, 3/2] at the working precision; at c = 1 those of the regular part
+    (_regular_part). At c = 1 + d, coefficient j is the pole's
+    (-1)^j / d^(j+1), in mpf at W = prec + _SERIES_GUARD_BITS bits, plus
+    the regular part re-centred at d: its first _shift_length(K, prec)
+    coefficients, each within 2^(-prec), and K rounds of synthetic division
+    by v - d in W-bit fixed point. Their errors move coefficient j by at
+    most 2^(j+1) 2^(-prec), against a pole coefficient of at least 2^(j+1).
+    """
+    if K < 1:
+        return []
+    prec = mp.prec
+    d = mpf(c) - 1
+    if d == 0:
+        return list(_regular_part(K, prec))
+    W = prec + _SERIES_GUARD_BITS
+    r = [int(mp.ldexp(x, W)) for x in _regular_part(_shift_length(K, prec), prec)]
+    df = int(mp.ldexp(d, W))
+    for j in range(K):
+        for k in range(len(r) - 2, j - 1, -1):
+            r[k] += (df * r[k + 1]) >> W
+    with workprec(W):
+        out = [(-1) ** j / d ** (j + 1) + mp.ldexp(x, -W) for j, x in enumerate(r[:K])]
+    return [+x for x in out]
 
 
 def _principal_part(b, order: int, d, power: int) -> list[mpf]:
@@ -356,10 +352,8 @@ def _principal_part(b, order: int, d, power: int) -> list[mpf]:
     In u = s - (1-b) the function is u^(-order) G(u), where G multiplies
     the truncated series (u zeta(1+u))^order, zeta(1+d+u)^power and
     1/(1-b+u) as a geometric series; f_{-i} is the u^(order-i) coefficient
-    of G. The series of zeta come from _zeta_series: at 1 the regular part,
-    which gives the Stieltjes constants, and at 1+d the Taylor
-    coefficients. No mpmath special function is called beyond log, exp
-    and the Bernoulli numbers.
+    of G. The series of zeta come from _zeta_series, which calls no mpmath
+    special function beyond log and the Bernoulli numbers.
     """
     with _MP_LOCK:
         with workdps(_DPS + 10):

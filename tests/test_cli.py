@@ -437,6 +437,17 @@ def test_exit_ceiling_names_its_cause(capsys, argv, cause):
     assert err.startswith(f"ceiling error: {cause}")
 
 
+def test_divisor_refuses_ell_before_the_sieve(capsys, monkeypatch):
+    # an ell past the pole-order ceiling exits 3 before any table is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("table built for a refused ell")
+
+    monkeypatch.setattr("zetalab.divisors.weighted_divisor_table", refuse)
+    rc, out, err = _run(capsys, ["divisor", "--ell", "172", "--ceiling", "50000000"])
+    assert rc == 3 and out == ""
+    assert err.startswith("ceiling error: ell = 172 gives a pole of order 172")
+
+
 def test_moment_unconverged_note(capsys, monkeypatch):
     # a run stopped by the panel budget still reports, and says so
     monkeypatch.setattr(moments, "PANEL_CEILING", 8)

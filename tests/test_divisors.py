@@ -384,6 +384,47 @@ def test_main_terms_call_no_mpmath_zeta(monkeypatch):
     _unweighted_main_coeffs.__wrapped__(7)
 
 
+def test_warm_main_terms_run_no_euler_maclaurin_pass(monkeypatch):
+    # the Taylor data at 1 +- a are the cached regular part at 1, shifted:
+    # once an ell has been seen, a new shift runs no new pass
+    for ell in (1, 2, 3):
+        main_terms(ell, 0.3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Euler-Maclaurin pass run on a warm cache")
+
+    monkeypatch.setattr(divisors, "_em_plan", refuse)
+    monkeypatch.setattr(divisors, "_em_tables", refuse)
+    for ell in (1, 2, 3):
+        for a in (1e-6, 0.123, 0.4321):
+            assert main_terms(ell, a).diagnostics["max_rel_discrepancy"] < divisors.CONTOUR_REL_TOL
+
+
+# c_coeffs + cprime_coeffs, bit for bit: they come from integer and
+# pure-Python mpmath arithmetic only, so they are the same on every host
+_FROZEN_MAIN_TERMS = {
+    (1, 1e-8): (-9.999999869113735e31, 9.999999869113734e23, -4999999934556866.0, 16666666.762869276,
+                9.999999869113735e31),
+    (2, 0.35): (-593.3113129857595, 165.2914880477273, -20.16775985727422, 1.9943870880980477,
+                593.5568357130642, 43.50271916440458),
+    (3, 0.4999): (-583.1582519775202, 197.18611617216837, -28.609301389346957, 2.972703676199519,
+                  583.6554700655594, 95.39327617022803, 4.552112512266753),
+}
+
+
+@pytest.mark.parametrize("ell, a", list(_FROZEN_MAIN_TERMS))
+def test_main_terms_exact_coefficients(ell, a):
+    poly = main_terms(ell, a)
+    assert poly.c_coeffs + poly.cprime_coeffs == _FROZEN_MAIN_TERMS[ell, a]
+
+
+def test_unweighted_coefficients_exact():
+    assert _unweighted_main_coeffs.__wrapped__(7) == (
+        0.3008201588422151, 1.0078486479660058, 1.2138244587744897, 0.6660779855851455,
+        0.18608073600154582, 0.02533758045258942, 0.001388888888888889,
+    )
+
+
 def test_main_terms_validation():
     with pytest.raises(DomainError, match=r"0 < a < 1/2, got 0.0; at a = 0 the two poles merge"):
         main_terms(1, 0.0)
@@ -400,6 +441,17 @@ def test_main_terms_gate_decides_as_before():
     for ell, a in ((14, 1e-8), (16, 0.25), (30, 0.35), (31, 0.35), (32, 0.49)):
         worst = main_terms(ell, a).diagnostics["max_rel_discrepancy"]
         assert worst < divisors.CONTOUR_REL_TOL, (ell, a, worst)
+
+
+def test_main_terms_documented_range_edges():
+    # main_terms' docstring: the check passes up to ell = 33 for every a
+    # from 1e-8 to 0.4999, and to ell = 40 for a >= 0.35; at a = 1e-8 the
+    # ring overflows float64 from ell = 34 on
+    for ell, a in ((33, 1e-8), (33, 0.4999), (40, 0.35)):
+        assert main_terms(ell, a).diagnostics["max_rel_discrepancy"] <= 1e-8, (ell, a)
+    with pytest.raises(PrecisionError) as exc:
+        main_terms(34, 1e-8)
+    assert re.search(r"ell=34, a=1e-08: .* at contour radii 2.5e-09 and 5e-09", str(exc.value))
 
 
 def test_float_contour_overflow_misses_the_gate():
