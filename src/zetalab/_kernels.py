@@ -10,7 +10,9 @@ exact int64 arithmetic.
 
 from __future__ import annotations
 
+import bisect
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,26 +47,27 @@ def line_zeta(sigmas, ts: np.ndarray) -> np.ndarray:
     terms (_add_em_tail). sigma = 1 with t = 0 in the batch hits the pole.
 
     Riemann-Siegel: floor(sqrt(t / 2 pi)) terms per node (at most 126 up to
-    T_CEILING), chi(s) from Stirling's series, and Arias de Reyna's
-    zeta(s) = R(s) + chi(s) conj(R(1 - conj s)), his corrections added to
-    both R rows before the one combination. They are Taylor series in the
-    fractional part of sqrt(t / 2 pi) (never the 0/0 quotient); their count,
-    8, comes from his explicit remainder bound at RS_T_MIN, and their
-    weights from one table of polynomials in sigma built at import
-    (_correction_tables), so a new sigma costs nothing extra. On one core of
-    a 2-core x86_64 host, two lines of 21 nodes take 0.5 to 0.65 ms on
-    Riemann-Siegel at any t, and on Euler-Maclaurin 0.55 ms at t = 1e3,
-    3.8 ms at 1e4 and 32 ms at 1e5: the routes cross near t = 1000, and
-    RS_T_MIN sits higher. Such a Riemann-Siegel call is mostly overhead,
-    24 to 30 us a node; in the two-line batches that moments sends (399
-    nodes at t = 1e4, 231 at 3e4, 126 at 1e5) 5.1, 7.7 and 12.5 us.
+    T_CEILING), sin and cos for the primes among them only, each other phase
+    a product of two (_phase_plan); chi(s) from Stirling's series, and Arias
+    de Reyna's zeta(s) = R(s) + chi(s) conj(R(1 - conj s)), his corrections
+    added to both R rows before the one combination. They are Taylor series
+    in the fractional part of sqrt(t / 2 pi) (never the 0/0 quotient): 8 by
+    his explicit remainder bound at RS_T_MIN, of which 7 survive the degree
+    cut of _folded_series, one table of polynomials in that fraction and in
+    sigma built at import. On one core of a 2-core x86_64 host,
+    two lines of 21 nodes take 0.10 to 0.13 ms on Riemann-Siegel at any t,
+    and on Euler-Maclaurin 0.17 ms at t = 1e3, 1.2 ms at 1e4 and 11.6 ms at
+    1e5: the routes cross near t = 500, and RS_T_MIN sits higher. Such a
+    call is mostly overhead, 2.4 to 3.1 us a node; in the two-line batches
+    that moments sends (1,218 nodes at t = 1e4, 693 at 3e4, 378 at 1e5)
+    0.64, 0.99 and 1.41 us.
 
     For sigma in [1/2, 1] and t up to T_CEILING = 1e5 the absolute error
     stays below 1e-12 + 1e-14 * t on both routes: the rounding of the phases
     t log n grows with t. Against mpmath.zeta, at most 2.7e-15 * t for
     Euler-Maclaurin (25 batched t in [1e2, 1e5], three lines) and
-    1.7e-15 * t for Riemann-Siegel (1,000 seeded values on lines from 1/2
-    to 1, t in [3e3, 1e5]), whose truncation takes a quarter of the bound.
+    3.1e-15 * t for Riemann-Siegel (20,000 seeded t in [3e3, 1e5] on the
+    lines 1/2, 3/4 and 1), whose truncation takes a quarter of the bound.
     """
     sig = np.asarray(sigmas, dtype=np.float64)
     ts = np.asarray(ts, dtype=np.float64)
@@ -76,23 +79,24 @@ def line_zeta(sigmas, ts: np.ndarray) -> np.ndarray:
 def _euler_maclaurin(sig: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """zeta(sigma + i t), one row per sigma; see line_zeta."""
     N = _em_cutoff(ts)
-    acc = _power_sums(-sig, np.log(np.arange(1, N)), ts)
+    lnn = np.log(np.arange(1, N))
+    acc = _power_sums(-sig, lnn, _phases(lnn, ts, np.empty((lnn.size, ts.size), dtype=np.complex128)))
     s = sig[:, None] + 1j * ts
     return _add_em_tail(acc, s, s - 1.0, N)
 
 
-def _power_sums(rows: np.ndarray, lnn: np.ndarray, ts: np.ndarray, dead=None) -> np.ndarray:
-    """sum_n n^(x_i) n^(-it) for each x_i in rows and each t, over the n
-    whose logs are lnn but those flagged in the n-by-t array dead. The
-    phases are one complex array: sin and cos of -t log n fill it in place
-    (as np.exp would, bit for bit, but faster), and one real product
-    reduces its interleaved parts."""
-    phase = np.empty((lnn.size, ts.size), dtype=np.complex128)
+def _phases(lnn: np.ndarray, ts: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """phase, complex and n by t, filled with n^(-it) for the n whose logs are
+    lnn: sin and cos of -t log n in place (as np.exp would, bit for bit)."""
     np.multiply.outer(lnn, -ts, out=phase.real)
     np.sin(phase.real, out=phase.imag)
     np.cos(phase.real, out=phase.real)
-    if dead is not None:
-        phase[dead] = 0.0
+    return phase
+
+
+def _power_sums(rows: np.ndarray, lnn: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """sum_n n^(x_i) n^(-it) for each x_i in rows and each t, over the n whose
+    logs are lnn and phases the rows of phase, by one real product."""
     return (np.exp(np.multiply.outer(rows, lnn)) @ phase.view(np.float64)).view(np.complex128)
 
 
@@ -166,9 +170,9 @@ _F = np.array([
     6.282686358510708e-22 + 4.354432465678006e-21j, -2.360647625071713e-22 + 8.042677010875067e-23j,
     -6.63453468151981e-24 - 1.187404814328495e-23j, 5.526719997560709e-25 - 4.533873522499421e-25j])
 
-# The routes cost the same near t = 1000 (see line_zeta). RS_T_MIN sits
+# The routes cost the same near t = 500 (see line_zeta). RS_T_MIN sits
 # above that, so the CLI's default window (t_hi = 1000) stays on
-# Euler-Maclaurin; lowering it toward 1000 would save under 0.5 ms per
+# Euler-Maclaurin; lowering it toward 1000 would save under 0.35 ms per
 # two-line call in [1e3, 3e3], where no benchmark workload runs, and would
 # take 10 correction terms instead of 8.
 RS_T_MIN = 3000.0
@@ -242,28 +246,36 @@ def _correction_tables(L: int) -> tuple[np.ndarray, np.ndarray]:
 _F_DERIVS, _AR_WEIGHTS = _correction_tables(_RS_TERMS)
 
 
+def _folded_series(derivs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """series[j, k, i]: the coefficient of p^j (1 + 2x)^i in C_k, each term
+    cut to the degree in p past which its tail is negligible. For |p| <= 1
+    and sigma, 1 - sigma in [0, 1], the coefficients' moduli from p^j on,
+    times a^-k at RS_T_MIN, bound the tail; each of the L terms takes an
+    L-th of what _RS_TERMS leaves of the budget. That keeps degrees 28, 27,
+    26, 25, 22, 17, 12 of 50, and no C_7."""
+    L = weights.shape[1]
+    series = np.einsum("ikr,rj->jki", weights, derivs)
+    bound = np.abs(series).sum(axis=2) / _RS_A_MIN ** np.arange(L)
+    share = (_RS_BUDGET - _arias_de_reyna_bound(L, _RS_A_MIN)) / L
+    series[np.cumsum(bound[::-1], axis=0)[::-1] <= share] = 0.0
+    J, K = (np.flatnonzero(series.any(axis=axes))[-1] + 1 for axes in ((1, 2), (0, 2)))
+    return series[:J, :K]
+
+
+_AR_SERIES = _folded_series(_F_DERIVS, _AR_WEIGHTS)
+
+
 # fdlibm's splits of log 2 and pi/2 (times 4), and log 2 pi split alike:
 # the high parts have 32 or 33 bits, so small multiples of them are exact.
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 _LOG_2PI_HI, _LOG_2PI_LO = 1.8378770663402975, 6.90480230046292e-11
 _TWO_PI_HI, _TWO_PI_LO = 6.28318530693650245668e00, 2.43084020260247689973e-10
-# Bernoulli numbers B_2, B_4, B_6 for Stirling's series
-_STIRLING = ((1, 1 / 6), (2, -1 / 30), (3, 1 / 42))
 
 
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a, b):
-    # Dekker's product: p + e == a * b exactly, by 26-bit halves
-    p = a * b
-    ca, cb = 134217729.0 * a, 134217729.0 * b
-    ah, bh = ca - (ca - a), cb - (cb - b)
-    al, bl = a - ah, b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+def _split(x):
+    # Veltkamp: the high 26 bits of x; x less them fits in 26 bits too
+    c = 134217729.0 * x
+    return c - (c - x)
 
 
 def _theta0(ts: np.ndarray) -> np.ndarray:
@@ -273,68 +285,101 @@ def _theta0(ts: np.ndarray) -> np.ndarray:
     (up to 1.4e-10) is a phase error of the whole chi(s) sum_n n^(s-1)
     term, scaled by that sum, which can be far above 1: on 20,000 sampled
     t in [3e3, 1e5] it moved the route by up to 2.3e-14 * t, over the
-    documented bound of line_zeta. Here
-    log(t/2pi) = (e log 2 - log 2pi) + log f for t = f 2^e with f in
-    [1/sqrt 2, sqrt 2): the first part is exact in the high halves of the
-    constants, both products with t/2 are exact (Dekker) and the reduction
-    is Cody-Waite, so what is left is the rounding of log f, at most about
-    3e-17 t.
+    documented bound of line_zeta. Here theta0 = h B - pi/8, h = t/2 and
+    B = (e log 2 - log 2pi - 1) + log f for t = f 2^e, f in [1/sqrt 2,
+    sqrt 2): the first part is exact in the high halves of the constants,
+    B's high 26 bits times both halves of h (_split) are exact, the larger
+    product is reduced by Cody-Waite, and h times the rest of B is below 1.
+    What is left is the rounding of log f, at most about 3e-17 t.
     """
-    f, e = np.frexp(ts)
-    low = f < math.sqrt(0.5)
-    f, e = np.where(low, 2 * f, f), np.where(low, e - 1, e)
     h = 0.5 * ts
-    big, err1 = _two_prod(h, e * _LN2_HI - _LOG_2PI_HI)
-    small, err2 = _two_prod(h, e * _LN2_LO - _LOG_2PI_LO + np.log(f))
-    big, err3 = _two_sum(big, small)
-    big, err4 = _two_sum(big, -h)
-    k = np.rint(big / _TWO_PI_HI)
-    return (big - k * _TWO_PI_HI) - k * _TWO_PI_LO + ((err1 + err2 + err3 + err4) - math.pi / 8)
+    e = np.frexp(ts * math.sqrt(0.5))[1]
+    big = e * _LN2_HI - (_LOG_2PI_HI + 1.0)
+    small = e * _LN2_LO - _LOG_2PI_LO + np.log(np.ldexp(ts, -e))
+    Bh = _split(big + small)
+    hh = _split(h)
+    P = hh * Bh
+    k = np.rint(P * (0.5 / math.pi))
+    return (P - k * _TWO_PI_HI) + (((h - hh) * Bh + h * ((big - Bh) + small)) - (k * _TWO_PI_LO + math.pi / 8))
+
+
+# Stirling's series for both log Gamma terms of log chi(sigma + it) leaves,
+# past its leading terms, sum_k i^k B_(k+1)(sigma) / (k (k+1) t^k) with B_n
+# the Bernoulli polynomials. Row k - 1 holds term k's coefficients of
+# sigma^0, sigma^1, ...; from RS_T_MIN on, terms past 4 are below 1e-20.
+_CHI_SERIES = np.array([[1j**k * math.comb(k + 1, j) * (1, -1 / 2, 1 / 6, 0, -1 / 30, 0)[k + 1 - j] / (k * k + k)
+                         if j <= k + 1 else 0.0 for j in range(6)] for k in range(1, 5)])
 
 
 def _log_chi(sig: np.ndarray, ts: np.ndarray, th0: np.ndarray) -> np.ndarray:
     """log chi(s), chi(s) = pi^(s-1/2) Gamma((1-s)/2) / Gamma(s/2), given
-    th0 = _theta0(ts).
-
-    With z1 = (1-s)/2 = (-it/2)(1 + i(1-sigma)/t) and
-    z2 = s/2 = (it/2)(1 - i sigma/t), Stirling's series for both log Gamma
-    terms gives (1/2 - sigma) log(t/2pi) - 2i theta0(t) plus small terms,
-    O(1/t), summed here: the large ones cancel exactly instead of in
-    rounding. Three Stirling terms: at |z| >= RS_T_MIN/2 the next is below
-    1e-26.
+    th0 = _theta0(ts) and sig as a column: (1/2 - sigma) log(t/2pi) -
+    2i theta0(t) and the series _CHI_SERIES in 1/t, as one product with the
+    powers of 1/t, so the large terms of Stirling's series cancel exactly
+    instead of in rounding.
     """
-    y1, y2 = (1 - sig) / ts, sig / ts
-    out = (-0.5 * sig - 0.5j * ts) * (0.5 * np.log1p(y1 * y1) + 1j * np.arctan(y1))
-    out -= (0.5 * (sig - 1) + 0.5j * ts) * (0.5 * np.log1p(y2 * y2) - 1j * np.arctan(y2))
-    out += sig - 0.5
-    for z, sign in ((0.5 * (1 - sig - 1j * ts), 1.0), (0.5 * (sig + 1j * ts), -1.0)):
-        w = 1.0 / z
-        w2 = w * w
-        series = 0.0
-        for k, b in reversed(_STIRLING):
-            series = series * w2 + b / (2 * k * (2 * k - 1))
-        out += sign * w * series
-    return out + (0.5 - sig) * np.log(ts / (2 * math.pi)) - 2j * th0
+    u = np.cumprod(np.broadcast_to(1.0 / ts, (4, ts.size)), axis=0)
+    out = sig ** np.arange(6) @ _CHI_SERIES.T @ u
+    out += (0.5 - sig) * np.log(ts / (2 * math.pi))
+    out.imag -= 2 * th0
+    return out
+
+
+@lru_cache(maxsize=None)
+def _phase_plan(M: int):
+    """n and log n for the rows n = 1..M of the Riemann-Siegel phase array,
+    the count of its first rows, 1 and the primes p <= M, and the steps that
+    build the rest: for c = 2, 3, ..., the rows c p for the primes p from
+    gpf(c), c's largest prime factor, up to M / c, each n once as n / gpf(n)
+    times gpf(n). A step (first row, end, row of c, first prime row, end) is
+    the product of c's row (built before it) and a run of prime rows."""
+    primes = _primes_upto(M).tolist()
+    ns = [1] + primes
+    row, gpf, steps = {n: i for i, n in enumerate(ns)}, dict(zip(primes, primes)), []
+    for c in range(2, M // 2 + 1):
+        lo, hi = bisect.bisect_left(primes, gpf[c]) + 1, bisect.bisect_right(primes, M // c) + 1
+        if lo < hi:
+            steps.append((len(ns), len(ns) + hi - lo, row[c], lo, hi))
+            for p in primes[lo - 1 : hi - 1]:
+                row[c * p], gpf[c * p] = len(ns), p
+                ns.append(c * p)
+    ns = np.array(ns, dtype=np.float64)
+    return ns, np.log(ns), len(primes) + 1, steps
+
+
+def _prime_phases(ts: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log n and the phase array of n^(-it), n <= m(t), zero for n > m(t),
+    with the rows in the order of _phase_plan(max m)."""
+    ns, lnn, k, steps = _phase_plan(int(m.max()))
+    phase = np.empty((ns.size, ts.size), dtype=np.complex128)
+    _phases(lnn[:k], ts, phase[:k])
+    for lo, hi, c, p0, p1 in steps:
+        np.multiply(phase[p0:p1], phase[c], out=phase[lo:hi])
+    phase[ns[:, None] > m] = 0.0
+    return lnn, phase
 
 
 def _riemann_siegel(sig: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """zeta(sigma + i t), one row per sigma, for t >= RS_T_MIN; see line_zeta."""
     a = np.sqrt(ts / (2 * math.pi))
     m = np.floor(a)
-    n = np.arange(1.0, m.max() + 1.0)
     # Arias de Reyna: zeta(s) = R(s) + chi(s) conj(R(1 - conj s)). Row x of
     # out is R at real part -x (x = -sigma_i, then sigma_i - 1): the sum of
     # n^x n^(-it) over n <= m plus (-1)^(m-1) U a^x sum_k C_k(-x, p) a^-k,
     # with p = 1 - 2(a - m) and U = exp(-i theta0)
     x = np.concatenate([-sig, sig - 1.0])
-    out = _power_sums(x, np.log(n), ts, dead=n[:, None] > m)
-    powers = np.vander(1 - 2 * (a - m), _F_DERIVS.shape[1], increasing=True)
-    derivs = _F_DERIVS @ powers.T
-    # the weights of the F^(r)(p), polynomials in 1 + 2x, from its powers in
-    # one product: a Horner loop would cost 14 small numpy calls per call
-    L = _RS_TERMS
-    weights = ((1 + 2 * x)[:, None] ** np.arange(L) @ _AR_WEIGHTS.reshape(L, -1)).reshape(x.size, L, -1)
-    S = ((weights @ derivs) * a ** -np.arange(L)[:, None]).sum(axis=1)
+    out = _power_sums(x, *_prime_phases(ts, m))
+    # each term's polynomial in p at each x, from one real product of their
+    # coefficients with the powers p^j (those below 2k from those below k,
+    # k = 2, 4, ...); then the sum over k with the a^-k
+    J, L, d = _AR_SERIES.shape
+    coeffs = _AR_SERIES.reshape(J * L, d) @ (1 + 2 * x) ** np.arange(d)[:, None]
+    powers = np.empty((J, ts.size))
+    powers[0], powers[1] = 1.0, 1 - 2 * (a - m)
+    for k in (2 ** i for i in range(1, (J - 1).bit_length())):
+        np.multiply(powers[: min(k, J - k)], powers[k - 1] * powers[1], out=powers[k : 2 * k])
+    terms = (powers.T @ coeffs.view(np.float64).reshape(J, -1)).reshape(ts.size, L, -1)
+    S = np.matmul((a[:, None] ** -np.arange(L))[:, None], terms)[:, 0].view(np.complex128).T
     th0 = _theta0(ts)
     out += np.where(m % 2 == 1, 1.0, -1.0) * np.exp(-1j * th0) * a ** x[:, None] * S
     return out[: sig.size] + np.exp(_log_chi(sig[:, None], ts, th0)) * np.conj(out[sig.size :])

@@ -223,28 +223,30 @@ def _em_plan(K: int, prec: int) -> tuple[int, int]:
     bits of the coefficients; the bare count N K + 3 M K picks pairs that
     run no faster. With 2M <= N every coefficient of (1 + u)_(2j-1)
     N^(1-2j) stays below 2, so the fixed-point B_2j/(2j)! lose nothing.
+    The bound falls as N grows, and as M grows while 2M <= N (each step
+    scales it by about ((x + 2M) / (2 pi N))^2 < 1), so the least M for an
+    N is at most the least for N - 1: the search walks M down as N goes up.
     """
     target = -prec * math.log(2.0)
     best = None
     for r in (1.0, 0.5, 0.25):
         x, sigma = 1.5 + r, 0.5 - r
         per_k = -(K - 1) * math.log(r) if r < 1 else 0.0
+
+        def meets(N, M):
+            return (math.log(math.pi**2 / 3) - 2 * M * math.log(2 * math.pi) + math.lgamma(x + 2 * M) - math.lgamma(x)
+                    + (1 - sigma - 2 * M) * math.log(N) - math.log(sigma + 2 * M - 1) + per_k) <= target
+
+        least = 1024
         for N in range(2, 1024):
-            for M in range(1, N // 2 + 1):
-                log_bound = (
-                    math.log(math.pi**2 / 3)
-                    - 2 * M * math.log(2 * math.pi)
-                    + math.lgamma(x + 2 * M)
-                    - math.lgamma(x)
-                    + (1 - sigma - 2 * M) * math.log(N)
-                    - math.log(sigma + 2 * M - 1)
-                    + per_k
-                )
-                if log_bound <= target:
-                    cost = N * (K + 50) + 3 * M * K
-                    if best is None or cost < best[0]:
-                        best = (cost, N, M)
-                    break
+            M = min(least, N // 2)
+            if meets(N, M):
+                while M > 1 and meets(N, M - 1):
+                    M -= 1
+                least = M
+                cost = N * (K + 50) + 3 * M * K
+                if best is None or cost < best[0]:
+                    best = (cost, N, M)
             if best is not None and N * (K + 50) > best[0]:
                 break
     return best[1], best[2]

@@ -21,12 +21,12 @@ _kernels.RS_T_MIN = 3000, one call per panel, and Riemann-Siegel for
 panels whose nodes all lie at or above it, several consecutive panels per
 call up to _RS_CHUNK_CELLS phase-matrix cells. Both keep the abs error
 below 1e-12 + 1e-14 * t up to T_CEILING (measured against mpmath.zeta: at
-most 2.7e-15 * t and 1.7e-15 * t), far below any quadrature tolerance
+most 2.7e-15 * t and 3.1e-15 * t), far below any quadrature tolerance
 accepted here. On one core of a 2-core x86_64 host, a single
-Riemann-Siegel panel costs 0.5 to 0.65 ms at any t; in shared calls a panel
-costs 0.11 ms at t = 1e4 and 0.26 ms at T_CEILING, so [0, T_CEILING] at
-sigma = 3/4, j = 1 takes 9.6 to 9.8 s, peak RSS 50 MB, on that host (AVX-512,
-numpy 2.4); one call per panel takes about three times as long. The 25-digit
+Riemann-Siegel panel costs 0.10 to 0.13 ms at any t; in shared calls a panel
+costs 0.013 ms at t = 1e4 and 0.030 ms at T_CEILING, so [0, T_CEILING] at
+sigma = 3/4, j = 1 takes 2.4 to 2.6 s, peak RSS 49.9 MB, on that host (AVX-512,
+numpy 2.4); one call per panel takes about five times as long. The 25-digit
 path in zetanum is used by the test suite to validate that kernel, not per node.
 """
 
@@ -50,14 +50,14 @@ REL_TOL_FLOOR = 1.0e-6
 # below the budget.
 PANEL_CEILING = 200_000
 # Riemann-Siegel panels share one line_zeta call up to this many cells of
-# its phase matrix (nodes times floor(sqrt(t / 2 pi))): 6 panels at
-# T_CEILING, 19 at t = 1e4. Measured in process on one core of a 2-core
-# x86_64 host over the moment-high-t benchmark windows (seeds 1-3, three
-# rounds), median job time against the budget: 11 to 12 ms at 2,646 (one
-# panel at T_CEILING), 5.4 ms at 8,000, 4.8 to 5.7 ms at 16,000 and 4.0 ms
-# at 42,336, while peak RSS rose by 0.0, 0.7 and 1.7 MB over single-panel
-# calls.
-_RS_CHUNK_CELLS = 16_000
+# its phase matrix (nodes times floor(sqrt(t / 2 pi))): 18 panels at
+# T_CEILING, 58 at t = 1e4. Measured in process on one core of a 2-core
+# x86_64 host over the moment-high-t benchmark windows (seeds 1-3, nine
+# rounds), median job time against the budget: 1.09 ms at 16,000, 1.03 ms
+# at 32,000, 0.90 ms at 48,000, 0.96 ms at 64,000 and at 96,000, while peak
+# RSS rose by 0.7 MB at 48,000 and 1.4 MB at 64,000 and 96,000 over
+# 16,000.
+_RS_CHUNK_CELLS = 48_000
 
 # Gauss-Kronrod 10-21 on [-1, 1], as in QUADPACK's dqk21 (Piessens et
 # al., 1983): the Kronrod abscissae from the largest down to 0 and their

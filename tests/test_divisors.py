@@ -400,6 +400,38 @@ def test_warm_main_terms_run_no_euler_maclaurin_pass(monkeypatch):
             assert main_terms(ell, a).diagnostics["max_rel_discrepancy"] < divisors.CONTOUR_REL_TOL
 
 
+def _em_plan_by_scan(K, prec):
+    # the plan search as it was first written: for each N, every M from 1 up
+    # to the first that meets the bound
+    target = -prec * math.log(2.0)
+    best = None
+    for r in (1.0, 0.5, 0.25):
+        x, sigma = 1.5 + r, 0.5 - r
+        per_k = -(K - 1) * math.log(r) if r < 1 else 0.0
+        for N in range(2, 1024):
+            for M in range(1, N // 2 + 1):
+                log_bound = (math.log(math.pi**2 / 3) - 2 * M * math.log(2 * math.pi) + math.lgamma(x + 2 * M)
+                             - math.lgamma(x) + (1 - sigma - 2 * M) * math.log(N)
+                             - math.log(sigma + 2 * M - 1) + per_k)
+                if log_bound <= target:
+                    cost = N * (K + 50) + 3 * M * K
+                    if best is None or cost < best[0]:
+                        best = (cost, N, M)
+                    break
+            if best is not None and N * (K + 50) > best[0]:
+                break
+    return best[1], best[2]
+
+
+def test_em_plan_matches_scan():
+    # the walk over M that _em_plan makes, against the scan from M = 1 for
+    # every N: the same (N, M) for every K the main terms and the shifts use
+    # at the main terms' 136 bits, and at 53 and 300 bits
+    for prec in (53, 136, 300):
+        for K in [*range(1, 65), 100, 171, 179]:
+            assert divisors._em_plan.__wrapped__(K, prec) == _em_plan_by_scan(K, prec), (K, prec)
+
+
 # c_coeffs + cprime_coeffs, bit for bit: they come from integer and
 # pure-Python mpmath arithmetic only, so they are the same on every host
 _FROZEN_MAIN_TERMS = {
