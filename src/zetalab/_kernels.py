@@ -1,11 +1,11 @@
 """Hot numeric kernels: float64 zeta line and point batches, a prime-power
 sieve for multiplicative tables, and a compensated running sum.
 
-Each kernel has one numpy implementation. The zeta line batch takes one of
-two routes by the size of t: Euler-Maclaurin below RS_T_MIN, Riemann-Siegel
-from there on. The point batch takes offsets u from the pole and returns
-zeta(1 + u) by Euler-Maclaurin, with the same tail. Integer tables use
-exact int64 arithmetic.
+Each kernel has one numpy implementation. The zeta line batch takes each
+node by one of two routes, by the size of its t: Euler-Maclaurin below
+RS_T_MIN, Riemann-Siegel from there on. The point batch takes offsets u
+from the pole and returns zeta(1 + u) by Euler-Maclaurin, with the same
+tail. Integer tables use exact int64 arithmetic.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 # Tail-correction coefficients B_2k/(2k)! for the float64 zeta batch,
-# k = 1..EM_TERMS: float64 roundings of 30-digit mpmath values
+# k = 1..28: float64 roundings of 30-digit mpmath values
 # (tests/test_kernels.py derives them again).
-EM_TERMS = 28
 EM_COEFFS = np.array([
     0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
     -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
@@ -36,15 +35,17 @@ EM_COEFFS = np.array([
 def line_zeta(sigmas, ts: np.ndarray) -> np.ndarray:
     """zeta(sigma + i t) for each sigma in sigmas and a batch of t >= 0.
 
-    Returns one row per sigma, float64 throughout. A batch whose smallest t
-    is at least RS_T_MIN = 3000 takes the Riemann-Siegel route, any other
-    batch Euler-Maclaurin. Both take their main sums from _power_sums: one
-    complex array of the phases n^(-it), laid out n by t, and one product
-    with the powers n^x, x = -sigma_i (and, for Riemann-Siegel, also
-    sigma_i - 1), for all rows at once.
+    Returns one row per sigma, float64 throughout. Each node takes the
+    route and the number of terms of its own t, so its value does not
+    depend on the batch beyond rounding: Euler-Maclaurin below RS_T_MIN =
+    3000, Riemann-Siegel from there on. Both take their main sums from
+    _power_sums: one complex array of the phases n^(-it), laid out n by t
+    and zero past each node's last term (line_terms bounds the rows), and
+    one product with the powers n^x, x = -sigma_i (and, for Riemann-Siegel,
+    also sigma_i - 1), for all rows at once.
 
-    Euler-Maclaurin: truncation N ~ 0.3 * max t and EM_TERMS = 28 tail
-    terms (_add_em_tail). sigma = 1 with t = 0 in the batch hits the pole.
+    Euler-Maclaurin: truncation N ~ 0.3 * t, at least 50, for each node,
+    and 28 tail terms (_add_em_tail). sigma = 1 with t = 0 hits the pole.
 
     Riemann-Siegel: floor(sqrt(t / 2 pi)) terms per node (at most 126 up to
     T_CEILING), sin and cos for the primes among them only, each other phase
@@ -54,33 +55,39 @@ def line_zeta(sigmas, ts: np.ndarray) -> np.ndarray:
     in the fractional part of sqrt(t / 2 pi) (never the 0/0 quotient): 8 by
     his explicit remainder bound at RS_T_MIN, of which 7 survive the degree
     cut of _folded_series, one table of polynomials in that fraction and in
-    sigma built at import. On one core of a 2-core x86_64 host,
-    two lines of 21 nodes take 0.10 to 0.13 ms on Riemann-Siegel at any t,
-    and on Euler-Maclaurin 0.17 ms at t = 1e3, 1.2 ms at 1e4 and 11.6 ms at
-    1e5: the routes cross near t = 500, and RS_T_MIN sits higher. Such a
-    call is mostly overhead, 2.4 to 3.1 us a node; in the two-line batches
-    that moments sends (1,218 nodes at t = 1e4, 693 at 3e4, 378 at 1e5)
-    0.64, 0.99 and 1.41 us.
+    sigma built at import. On one core of a 2-core x86_64 host, two lines
+    of 21 nodes take 0.13 to 0.22 ms on Riemann-Siegel at any t, and 0.20,
+    0.34 and 0.68 ms on Euler-Maclaurin at t = 1e2, 1e3 and 2990. In the
+    two-line batches of moments a node costs 2.5, 9.3 and 31 us there (693,
+    147 and 42 nodes), and 1.4, 0.82 and 1.7 us at t = 3e3, 1e4 and 1e5
+    (2,163, 1,197 and 378 nodes).
 
     For sigma in [1/2, 1] and t up to T_CEILING = 1e5 the absolute error
     stays below 1e-12 + 1e-14 * t on both routes: the rounding of the phases
-    t log n grows with t. Against mpmath.zeta, at most 2.7e-15 * t for
-    Euler-Maclaurin (25 batched t in [1e2, 1e5], three lines) and
+    t log n grows with t. Against mpmath.zeta, at most 1.2e-15 * t for
+    Euler-Maclaurin (40 seeded t in [1e2, 3e3], three lines) and
     3.1e-15 * t for Riemann-Siegel (20,000 seeded t in [3e3, 1e5] on the
     lines 1/2, 3/4 and 1), whose truncation takes a quarter of the bound.
     """
     sig = np.asarray(sigmas, dtype=np.float64)
     ts = np.asarray(ts, dtype=np.float64)
-    if ts.size and float(np.min(ts)) >= RS_T_MIN:
-        return _riemann_siegel(sig, ts)
-    return _euler_maclaurin(sig, ts)
+    rs = ts >= RS_T_MIN
+    if rs.all() or not rs.any():  # one route: the batch as it is
+        return _riemann_siegel(sig, ts) if rs.any() else _euler_maclaurin(sig, ts)
+    out = np.empty((sig.size, ts.size), dtype=np.complex128)
+    out[:, rs], out[:, ~rs] = _riemann_siegel(sig, ts[rs]), _euler_maclaurin(sig, ts[~rs])
+    return out
 
 
 def _euler_maclaurin(sig: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """zeta(sigma + i t), one row per sigma; see line_zeta."""
     N = _em_cutoff(ts)
-    lnn = np.log(np.arange(1, N))
-    acc = _power_sums(-sig, lnn, _phases(lnn, ts, np.empty((lnn.size, ts.size), dtype=np.complex128)))
+    n = np.arange(1, N.max(initial=50))
+    lnn = np.log(n)
+    phase = _phases(lnn, ts, np.empty((n.size, ts.size), dtype=np.complex128))
+    phase[n[:, None] >= N] = 0.0
+    acc = _power_sums(-sig, lnn, phase)
+    del phase
     s = sig[:, None] + 1j * ts
     return _add_em_tail(acc, s, s - 1.0, N)
 
@@ -114,30 +121,40 @@ def point_zeta(u) -> np.ndarray:
     """
     u = np.asarray(u, dtype=np.complex128)
     s = 1.0 + u
-    N = _em_cutoff(u.imag)
+    N = int(_em_cutoff(u.imag).max(initial=50))
     acc = np.exp(-np.multiply.outer(s, np.log(np.arange(1, N)))).sum(axis=-1)
     return _add_em_tail(acc, s, u, N)
 
 
-def _em_cutoff(ts: np.ndarray) -> int:
-    """Euler-Maclaurin truncation N ~ 0.3 * max |t|, at least 50."""
-    tmax = float(np.max(np.abs(ts))) if ts.size else 0.0
-    return max(50, int(0.3 * tmax) + 2)
+def _em_cutoff(ts: np.ndarray) -> np.ndarray:
+    """Euler-Maclaurin truncation N ~ 0.3 * |t|, at least 50, for each t."""
+    return np.maximum(50, (0.3 * np.abs(ts)).astype(np.int64) + 2)
 
 
-def _add_em_tail(acc: np.ndarray, s: np.ndarray, sm1: np.ndarray, N: int) -> np.ndarray:
+def line_terms(a: float, b: float) -> int:
+    """The most terms, rows of its phase array, that line_zeta takes for a
+    node t in [a, b]: N - 1 below RS_T_MIN, floor(sqrt(t / 2 pi)) above."""
+    em = int(_em_cutoff(min(b, RS_T_MIN))) - 1 if a < RS_T_MIN else 0
+    rs = math.floor(math.sqrt(b / (2.0 * math.pi))) if b >= RS_T_MIN else 0
+    return max(em, rs)
+
+
+def _add_em_tail(acc: np.ndarray, s: np.ndarray, sm1: np.ndarray, N) -> np.ndarray:
     """Add to acc, the sums of n^(-s) over n < N, the rest of zeta(s):
-    N^(1-s)/(s-1) + N^(-s)/2 and EM_TERMS tail terms, with s - 1 given as
-    sm1. Each tail term is built from the one before, dividing by N^2 at
-    every step, so no power of N overflows."""
-    NmS = np.exp(-s * math.log(N))
+    N^(1-s)/(s-1) + N^(-s)/2 and 28 tail terms, with s - 1 given as sm1
+    and N one int or one per column of s. Each tail term is built from the
+    one before, dividing by N^2 at every step, so no power of N overflows,
+    and the terms are summed in order, with no BLAS call."""
+    NmS = np.exp(-s * np.log(N))
     acc += NmS * N / sm1
     acc += NmS * 0.5
     # tail term k is term k-1 times (s + 2k - 3)(s + 2k - 2) / N^2
-    k = np.arange(2, EM_TERMS + 1).reshape((-1,) + (1,) * s.ndim)
-    steps = (s + (2 * k - 3)) * (s + (2 * k - 2)) / (N * N)
-    terms = np.cumprod(np.concatenate([(s * NmS / N)[None], steps]), axis=0)
-    acc += np.tensordot(EM_COEFFS, terms, axes=1)
+    term = s * NmS / N
+    tail = EM_COEFFS[0] * term
+    for k, c in enumerate(EM_COEFFS[1:], start=2):
+        term = term * ((s + (2 * k - 3)) * (s + (2 * k - 2)) / (N * N))
+        tail += c * term
+    acc += tail
     return acc
 
 
@@ -170,11 +187,10 @@ _F = np.array([
     6.282686358510708e-22 + 4.354432465678006e-21j, -2.360647625071713e-22 + 8.042677010875067e-23j,
     -6.63453468151981e-24 - 1.187404814328495e-23j, 5.526719997560709e-25 - 4.533873522499421e-25j])
 
-# The routes cost the same near t = 500 (see line_zeta). RS_T_MIN sits
-# above that, so the CLI's default window (t_hi = 1000) stays on
-# Euler-Maclaurin; lowering it toward 1000 would save under 0.35 ms per
-# two-line call in [1e3, 3e3], where no benchmark workload runs, and would
-# take 10 correction terms instead of 8.
+# In moments' batches a panel costs 0.2 ms at t = 1e3 and 0.64 ms just below
+# RS_T_MIN on Euler-Maclaurin, 0.03 to 0.07 ms on Riemann-Siegel (line_zeta):
+# lowering RS_T_MIN toward 1000 would save that in [1e3, 3e3], where no
+# benchmark workload runs, but take 10 correction terms instead of 8.
 RS_T_MIN = 3000.0
 # Truncation budget: a quarter of the documented error bound at RS_T_MIN;
 # rounding takes the rest. Every remainder bound below falls with t faster

@@ -15,19 +15,17 @@ ascending interval order, so a run's totals do not depend on the order in
 which its panels were bisected and are reproducible bit for bit for a given
 configuration.
 
-Node values come from the float64 line-batch kernel, for both vertical
-lines in one call: Euler-Maclaurin for a panel with a node below
-_kernels.RS_T_MIN = 3000, one call per panel, and Riemann-Siegel for
-panels whose nodes all lie at or above it, several consecutive panels per
-call up to _RS_CHUNK_CELLS phase-matrix cells. Both keep the abs error
-below 1e-12 + 1e-14 * t up to T_CEILING (measured against mpmath.zeta: at
-most 2.7e-15 * t and 3.1e-15 * t), far below any quadrature tolerance
-accepted here. On one core of a 2-core x86_64 host, a single
-Riemann-Siegel panel costs 0.10 to 0.13 ms at any t; in shared calls a panel
-costs 0.013 ms at t = 1e4 and 0.030 ms at T_CEILING, so [0, T_CEILING] at
-sigma = 3/4, j = 1 takes 2.4 to 2.6 s, peak RSS 49.9 MB, on that host (AVX-512,
-numpy 2.4); one call per panel takes about five times as long. The 25-digit
-path in zetanum is used by the test suite to validate that kernel, not per node.
+Node values come from _kernels.line_zeta, for both vertical lines in one
+call, which takes each node by the route of its own t: Euler-Maclaurin
+below t = 3000, Riemann-Siegel from there on. Consecutive panels share a
+call up to _CHUNK_CELLS phase-array cells, and a panel's value does not
+depend on its chunk beyond rounding. Both routes keep the abs error below
+1e-12 + 1e-14 * t up to T_CEILING (measured against mpmath.zeta: at most
+1.2e-15 * t and 3.1e-15 * t), far below any quadrature tolerance accepted
+here. On one core of a 2-core x86_64 host (AVX-512, numpy 2.4),
+[0, T_CEILING] at sigma = 3/4, j = 1 takes 3.4 to 3.5 s in process, peak
+RSS 48.2 MB. The 25-digit path in zetanum is used by the test suite to
+validate that kernel, not per node.
 """
 
 from __future__ import annotations
@@ -49,15 +47,14 @@ REL_TOL_FLOOR = 1.0e-6
 # about 77,000 ([0, T_CEILING] takes 69,035), so every window starts
 # below the budget.
 PANEL_CEILING = 200_000
-# Riemann-Siegel panels share one line_zeta call up to this many cells of
-# its phase matrix (nodes times floor(sqrt(t / 2 pi))): 18 panels at
-# T_CEILING, 58 at t = 1e4. Measured in process on one core of a 2-core
-# x86_64 host over the moment-high-t benchmark windows (seeds 1-3, nine
-# rounds), median job time against the budget: 1.09 ms at 16,000, 1.03 ms
-# at 32,000, 0.90 ms at 48,000, 0.96 ms at 64,000 and at 96,000, while peak
-# RSS rose by 0.7 MB at 48,000 and 1.4 MB at 64,000 and 96,000 over
-# 16,000.
-_RS_CHUNK_CELLS = 48_000
+# Panels share one line_zeta call up to this many cells of its phase
+# array, nodes times _kernels.line_terms over their span: 18 panels at
+# T_CEILING, 58 at t = 1e4, 7 at 1e3, 46 below t = 163. Set on the
+# moment-high-t benchmark windows (seeds 1-3, nine rounds, in process on one
+# core of a 2-core x86_64 host), median job time against the budget: 1.09,
+# 1.03, 0.90 and 0.96 ms at 16,000, 32,000, 48,000 and 64,000 to 96,000;
+# peak RSS rose by 0.7 MB at 48,000 and 1.4 MB above, over 16,000.
+_CHUNK_CELLS = 48_000
 
 # Gauss-Kronrod 10-21 on [-1, 1], as in QUADPACK's dqk21 (Piessens et
 # al., 1983): the Kronrod abscissae from the largest down to 0 and their
@@ -142,29 +139,16 @@ def _panel_width(t: float) -> float:
 
 
 def _chunks(panels):
-    """Split panels [a, b], in order, into lists that share one kernel call.
-
-    A run of consecutive panels whose smallest node is at or above RS_T_MIN
-    shares a call while its phase matrix, nodes times
-    floor(sqrt(b_max / 2 pi)), stays within _RS_CHUNK_CELLS. Any other panel
-    is a chunk of its own: its Euler-Maclaurin cutoff follows its own
-    largest node.
-    """
+    """Split panels [a, b], in order, into lists that share one kernel call:
+    consecutive panels share a call while its phase array, nodes times the
+    most terms a node in their span takes (_kernels.line_terms), stays
+    within _CHUNK_CELLS."""
     chunk: list = []
-    top = 0.0
     for a, b in panels:
-        mid, h = 0.5 * (a + b), 0.5 * (b - a)
-        if mid + h * _K21_NODES[0] < _kernels.RS_T_MIN:
-            if chunk:
-                yield chunk
-                chunk = []
-            yield [(a, b)]
-            continue
-        top = max(top, b) if chunk else b
-        cells = (len(chunk) + 1) * _K21_NODES.size * math.floor(math.sqrt(top / (2.0 * math.pi)))
-        if chunk and cells > _RS_CHUNK_CELLS:
+        lo, hi = (min(lo, a), max(hi, b)) if chunk else (a, b)
+        if chunk and (len(chunk) + 1) * _K21_NODES.size * _kernels.line_terms(lo, hi) > _CHUNK_CELLS:
             yield chunk
-            chunk, top = [], b
+            chunk, lo, hi = [], a, b
         chunk.append((a, b))
     if chunk:
         yield chunk

@@ -73,8 +73,8 @@ def test_line_zeta_error_bound_up_to_t_ceiling():
 def test_line_zeta_error_bound_mixed_batch():
     # one batch over [1e4, 1e5], so on the Riemann-Siegel route: m changes
     # from node to node and the phase matrix is masked (a batch of
-    # Euler-Maclaurin at one truncation N for all t is checked against it
-    # in test_riemann_siegel_matches_euler_maclaurin)
+    # Euler-Maclaurin, each t at its own truncation N, is checked against
+    # it in test_riemann_siegel_matches_euler_maclaurin)
     rng = np.random.default_rng(13)
     _assert_rows_within_bound(np.concatenate([[1.0e4], 10.0 ** rng.uniform(4, 5, 4), [T_CEILING]]))
 
@@ -182,21 +182,73 @@ def test_riemann_siegel_corrections_at_their_edges():
         assert _within_line_bound(got, _kernels._euler_maclaurin(np.array(RS_SIGMAS), ts), ts)
 
 
+def test_line_zeta_route_per_node(monkeypatch):
+    # each node takes the route and the Euler-Maclaurin cutoff of its own
+    # t, so a mixed, unsorted batch gives every node its value alone to the
+    # rounding of the main sums' product, and Riemann-Siegel never sees a t
+    # below RS_T_MIN. Relative to the node's largest value over the lines:
+    # near a zero on the half line (t = 1329.05, |zeta| = 1.4e-3) the same
+    # 6e-16 of rounding is 4.5e-13 of zeta itself
+    seen = []
+    riemann_siegel = _kernels._riemann_siegel
+
+    def recorded(sig, ts):
+        seen.append(ts.copy())
+        return riemann_siegel(sig, ts)
+
+    monkeypatch.setattr(_kernels, "_riemann_siegel", recorded)
+    rng = np.random.default_rng(23)
+    edges = [1.0, 2999.99, _kernels.RS_T_MIN, 3000.01, T_CEILING]
+    ts = rng.permutation(np.concatenate([edges, 10.0 ** rng.uniform(0, 5, 40)]))
+    got = _kernels.line_zeta(RS_SIGMAS, ts)
+    alone = np.concatenate([_kernels.line_zeta(RS_SIGMAS, ts[i : i + 1]) for i in range(ts.size)], axis=1)
+    assert np.all(np.abs(got - alone) <= 1e-14 * np.abs(alone).max(axis=0))
+    assert len(seen) == 1 + np.count_nonzero(ts >= _kernels.RS_T_MIN)
+    assert all(t.min() >= _kernels.RS_T_MIN for t in seen)
+
+
+def test_line_terms():
+    # phase rows of the longest node: the Euler-Maclaurin cutoff less one
+    # below RS_T_MIN (49 at N = 50, 301 at t = 1000, 901 up to RS_T_MIN),
+    # floor(sqrt(t / 2 pi)) from there on (21 at RS_T_MIN, 126 at T_CEILING)
+    assert _kernels.line_terms(0.0, 100.0) == 49
+    assert _kernels.line_terms(990.0, 1000.0) == 301
+    assert _kernels.line_terms(2000.0, T_CEILING) == 901
+    assert _kernels.line_terms(_kernels.RS_T_MIN, _kernels.RS_T_MIN) == 21
+    assert _kernels.line_terms(_kernels.RS_T_MIN, T_CEILING) == 126
+
+
+def _traced_peak(route, sig, ts):
+    route(sig, ts)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        route(sig, ts)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("t_lo, t_hi, nodes", [(980.0, 1000.0, 147), (10.0, 140.0, 966)])
+def test_euler_maclaurin_one_phase_array(t_lo, t_hi, nodes):
+    # one call's worth of nodes under moments' cell budget: 7 panels of 21
+    # at t = 1e3, 46 at N = 50. The main sums take one complex128 phase
+    # array, zeroed past each node's cutoff, and the tail one term at a
+    # time, about 20 B a live cell; all 28 tail terms held at once took
+    # 57 B at N = 50
+    ts = np.linspace(t_lo, t_hi, nodes)
+    peak = _traced_peak(_kernels._euler_maclaurin, np.array([0.5, 0.75]), ts)
+    cells = (_kernels._em_cutoff(ts) - 1).sum()
+    assert peak / cells <= 24.0, peak / cells
+
+
 def test_riemann_siegel_one_phase_array():
     # the main sums take one complex128 phase array of nodes x m cells,
     # m = floor(sqrt(t / 2 pi)), and the boolean mask of its dead cells,
     # about 17 B a cell; separate float phase, cos and sin arrays, masked,
     # take about 42 B. 756 nodes are 36 panels of 21
     ts = np.linspace(T_CEILING - 100.0, T_CEILING, 756)
-    sig = np.array([0.5, 0.75])
-    _kernels._riemann_siegel(sig, ts)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        _kernels._riemann_siegel(sig, ts)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(_kernels._riemann_siegel, np.array([0.5, 0.75]), ts)
     cells = np.floor(np.sqrt(ts / (2 * math.pi))).sum()
     assert peak / cells <= 24.0, peak / cells
 
@@ -278,11 +330,12 @@ def test_riemann_siegel_correction_table():
 
 
 def test_euler_maclaurin_coefficient_table():
-    # the float literals are B_2k/(2k)! at 30 digits, rounded to float64
+    # the float literals are B_2k/(2k)!, k = 1..28, at 30 digits, rounded
+    # to float64
     from mpmath import bernoulli, factorial
 
     with workdps(30):
-        ref = [float(bernoulli(2 * k) / factorial(2 * k)) for k in range(1, _kernels.EM_TERMS + 1)]
+        ref = [float(bernoulli(2 * k) / factorial(2 * k)) for k in range(1, 29)]
     assert _kernels.EM_COEFFS.tolist() == ref
 
 

@@ -194,12 +194,13 @@ def _phase_rule_panels(t_lo, t_hi):
     return list(zip(edges, edges[1:]))
 
 
-@pytest.mark.parametrize("t_lo, t_hi", [(1.0e4, 1.05e4), (9.9e4, 1.0e5)])
+@pytest.mark.parametrize("t_lo, t_hi", [(1.0e4, 1.05e4), (9.9e4, 1.0e5), (0.0, 1.0e3), (1.0, 300.0), (2900.0, 3100.0)])
 @pytest.mark.parametrize("sigma, j", [(0.75, 1), (0.5, 0), (1.0, 2)])
 def test_batched_panels_match_single_panels(t_lo, t_hi, sigma, j):
     # one kernel call per chunk changes only the BLAS shape of the main
-    # sums: each panel keeps its value to rounding, and its estimate moves
-    # by rounding of the value it estimates
+    # sums, on either route and across RS_T_MIN: each panel keeps its value
+    # to rounding, and its estimate moves by rounding of the value it
+    # estimates
     panels = _phase_rule_panels(t_lo, t_hi)
     batched = list(moments._eval_panels(panels, sigma, j))
     single = [next(moments._eval_panels([panel], sigma, j)) for panel in panels]
@@ -212,50 +213,28 @@ def test_batched_panels_match_single_panels(t_lo, t_hi, sigma, j):
     assert abs(est - est1) <= 1e-9 * est1
 
 
-def test_panel_straddling_rs_t_min_goes_alone(monkeypatch):
-    # a panel with a node below RS_T_MIN keeps its own Euler-Maclaurin call
-    # (and cutoff); only panels wholly on the Riemann-Siegel side share one
-    em_calls, rs_calls = [], []
-    em, rs = _kernels._euler_maclaurin, _kernels._riemann_siegel
-
-    def record_em(sig, ts):
-        em_calls.append(ts.copy())
-        return em(sig, ts)
-
-    def record_rs(sig, ts):
-        rs_calls.append(ts.copy())
-        return rs(sig, ts)
-
-    monkeypatch.setattr(_kernels, "_euler_maclaurin", record_em)
-    monkeypatch.setattr(_kernels, "_riemann_siegel", record_rs)
-    moments.hybrid_moment(2990.0, 3100.0, 0.75, 1, rel_tol=1e-4)
-    straddling = [ts for ts in em_calls if ts.max() > _kernels.RS_T_MIN]
-    assert len(straddling) == 1
-    assert all(ts.size == 21 and ts.min() < _kernels.RS_T_MIN for ts in em_calls)
-    assert all(ts.min() >= _kernels.RS_T_MIN for ts in rs_calls)
-    assert max(ts.size for ts in rs_calls) > 21
-
-
 @pytest.mark.parametrize(
     "t_lo, t_hi, sigma, j",
-    [(1.0e4, 1.0e4 + 50.0, 0.5, 3), (5.0e4, 5.0e4 + 30.0, 1.0, 4), (9.9e4, 1.0e5, 0.5, 4)],
+    [(1.0e4, 1.0e4 + 50.0, 0.5, 3), (5.0e4, 5.0e4 + 30.0, 1.0, 4), (9.9e4, 1.0e5, 0.5, 4), (500.0, 560.0, 0.75, 3)],
 )
 def test_kernel_calls_per_chunk(monkeypatch, t_lo, t_hi, sigma, j):
-    # initial panels share calls up to the cell budget, and a bisection
-    # evaluates both halves in one call
+    # initial panels share calls up to the cell budget, nodes times the
+    # kernel's own count of terms, and a bisection evaluates both halves in
+    # one call
     calls = []
     line_zeta = _kernels.line_zeta
 
     def counted(sigmas, ts):
-        calls.append((len(ts), math.floor(math.sqrt(max(ts) / (2 * math.pi)))))
+        calls.append((len(ts), _kernels.line_terms(min(ts), max(ts))))
         return line_zeta(sigmas, ts)
 
     monkeypatch.setattr(_kernels, "line_zeta", counted)
     stats = moments.hybrid_moment(t_lo, t_hi, sigma, j, rel_tol=1e-6).step_stats
-    per_call = moments._RS_CHUNK_CELLS // (21 * math.floor(math.sqrt(t_hi / (2 * math.pi))))
+    per_call = moments._CHUNK_CELLS // (21 * _kernels.line_terms(t_lo, t_hi))
+    assert per_call > 1
     assert len(calls) <= math.ceil(stats["initial_panels"] / per_call) + stats["refinements"]
     assert sum(n for n, _m in calls) == stats["node_evals"]
-    assert max(n * m for n, m in calls) <= moments._RS_CHUNK_CELLS
+    assert max(n * m for n, m in calls) <= moments._CHUNK_CELLS
     assert stats["refinements"] > 0
 
 
