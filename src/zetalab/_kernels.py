@@ -42,30 +42,33 @@ def line_zeta(sigmas, ts: np.ndarray) -> np.ndarray:
     _power_sums: one complex array of the phases n^(-it), laid out n by t
     and zero past each node's last term (line_terms bounds the rows), and
     one product with the powers n^x, x = -sigma_i (and, for Riemann-Siegel,
-    also sigma_i - 1), for all rows at once.
+    also sigma_i - 1), for all rows at once. Both build that array by
+    _prime_phases: sin and cos for 1 and the primes only, each other row a
+    product of two (_phase_plan, cached per row count).
 
-    Euler-Maclaurin: truncation N ~ 0.3 * t, at least 50, for each node,
-    and 28 tail terms (_add_em_tail). sigma = 1 with t = 0 hits the pole.
+    Euler-Maclaurin: truncation N for each node, the least multiple of 50
+    above 0.3 * t + 1 (_em_cutoff), and 28 tail terms (_add_em_tail).
+    sigma = 1 with t = 0 hits the pole.
 
     Riemann-Siegel: floor(sqrt(t / 2 pi)) terms per node (at most 126 up to
-    T_CEILING), sin and cos for the primes among them only, each other phase
-    a product of two (_phase_plan); chi(s) from Stirling's series, and Arias
-    de Reyna's zeta(s) = R(s) + chi(s) conj(R(1 - conj s)), his corrections
-    added to both R rows before the one combination. They are Taylor series
-    in the fractional part of sqrt(t / 2 pi) (never the 0/0 quotient): 8 by
-    his explicit remainder bound at RS_T_MIN, of which 7 survive the degree
-    cut of _folded_series, one table of polynomials in that fraction and in
+    T_CEILING); chi(s) from Stirling's series, and Arias de Reyna's
+    zeta(s) = R(s) + chi(s) conj(R(1 - conj s)), his corrections added to
+    both R rows before the one combination. They are Taylor series in the
+    fractional part of sqrt(t / 2 pi) (never the 0/0 quotient): 8 by his
+    explicit remainder bound at RS_T_MIN, of which 7 survive the degree cut
+    of _folded_series, one table of polynomials in that fraction and in
     sigma built at import. On one core of a 2-core x86_64 host, two lines
-    of 21 nodes take 0.13 to 0.22 ms on Riemann-Siegel at any t, and 0.20,
-    0.34 and 0.68 ms on Euler-Maclaurin at t = 1e2, 1e3 and 2990. In the
-    two-line batches of moments a node costs 2.5, 9.3 and 31 us there (693,
-    147 and 42 nodes), and 1.4, 0.82 and 1.7 us at t = 3e3, 1e4 and 1e5
+    of 21 nodes take 0.12 to 0.18 ms on Riemann-Siegel at any t, and 0.20,
+    0.30 and 0.42 ms on Euler-Maclaurin at t = 1e2, 1e3 and 2990. In the
+    two-line batches of moments a node costs 1.4, 5.0 and 14 us there (630,
+    126 and 42 nodes), and 1.0, 0.92 and 1.7 us at t = 3e3, 1e4 and 1e5
     (2,163, 1,197 and 378 nodes).
 
     For sigma in [1/2, 1] and t up to T_CEILING = 1e5 the absolute error
     stays below 1e-12 + 1e-14 * t on both routes: the rounding of the phases
-    t log n grows with t. Against mpmath.zeta, at most 1.2e-15 * t for
-    Euler-Maclaurin (40 seeded t in [1e2, 3e3], three lines) and
+    t log n grows with t, and each composite row carries its prime factors'
+    roundings. Against mpmath.zeta, at most 1.6e-15 * t for
+    Euler-Maclaurin (120 seeded t in [1e2, 3e3), three lines) and
     3.1e-15 * t for Riemann-Siegel (20,000 seeded t in [3e3, 1e5] on the
     lines 1/2, 3/4 and 1), whose truncation takes a quarter of the bound.
     """
@@ -82,23 +85,9 @@ def line_zeta(sigmas, ts: np.ndarray) -> np.ndarray:
 def _euler_maclaurin(sig: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """zeta(sigma + i t), one row per sigma; see line_zeta."""
     N = _em_cutoff(ts)
-    n = np.arange(1, N.max(initial=50))
-    lnn = np.log(n)
-    phase = _phases(lnn, ts, np.empty((n.size, ts.size), dtype=np.complex128))
-    phase[n[:, None] >= N] = 0.0
-    acc = _power_sums(-sig, lnn, phase)
-    del phase
+    acc = _power_sums(-sig, *_prime_phases(ts, N - 1))
     s = sig[:, None] + 1j * ts
     return _add_em_tail(acc, s, s - 1.0, N)
-
-
-def _phases(lnn: np.ndarray, ts: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """phase, complex and n by t, filled with n^(-it) for the n whose logs are
-    lnn: sin and cos of -t log n in place (as np.exp would, bit for bit)."""
-    np.multiply.outer(lnn, -ts, out=phase.real)
-    np.sin(phase.real, out=phase.imag)
-    np.cos(phase.real, out=phase.real)
-    return phase
 
 
 def _power_sums(rows: np.ndarray, lnn: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -111,13 +100,14 @@ def point_zeta(u) -> np.ndarray:
     """zeta(1 + u) for an array of complex offsets u, float64 throughout.
 
     The Euler-Maclaurin route of line_zeta for arbitrary points: the sum of
-    n^(-s) over n < N, N ~ 0.3 * max |Im u| (at least 50), and the same
-    tail. The pole term divides by u itself: rounding s = 1 + u first
-    would cost about eps / |u| relative near the pole. u = 0 hits the pole.
+    n^(-s) over n < N, N = _em_cutoff(max |Im u|), and the same tail. The
+    pole term divides by u itself: rounding s = 1 + u first would cost
+    about eps / |u| relative near the pole. u = 0 hits the pole.
     divisors.main_terms evaluates its check contours with it: against
     40-digit mpmath.zeta(1 + u) at every node of those circles for shifts a
-    from 1e-12 to 0.4999 (Re s from 0.25 to 1.625, |Im u| <= 1/4), the
-    relative error is at most 1.0e-14 (tests/test_kernels.py bounds it).
+    from 1e-12 to 0.4999 (Re s from 0.25 to 1.625, |Im u| <= 1/4, so
+    N = 50), the relative error is at most 1.0e-14 (tests/test_kernels.py
+    bounds it).
     """
     u = np.asarray(u, dtype=np.complex128)
     s = 1.0 + u
@@ -127,8 +117,10 @@ def point_zeta(u) -> np.ndarray:
 
 
 def _em_cutoff(ts: np.ndarray) -> np.ndarray:
-    """Euler-Maclaurin truncation N ~ 0.3 * |t|, at least 50, for each t."""
-    return np.maximum(50, (0.3 * np.abs(ts)).astype(np.int64) + 2)
+    """Euler-Maclaurin truncation N for each t: the least multiple of 50
+    above 0.3 * |t| + 1, so at least 50, and 19 values below RS_T_MIN, each
+    one _phase_plan of N - 1 rows."""
+    return 50 * ((0.3 * np.abs(ts) + 1.0) // 50).astype(np.int64) + 50
 
 
 def line_terms(a: float, b: float) -> int:
@@ -187,10 +179,10 @@ _F = np.array([
     6.282686358510708e-22 + 4.354432465678006e-21j, -2.360647625071713e-22 + 8.042677010875067e-23j,
     -6.63453468151981e-24 - 1.187404814328495e-23j, 5.526719997560709e-25 - 4.533873522499421e-25j])
 
-# In moments' batches a panel costs 0.2 ms at t = 1e3 and 0.64 ms just below
-# RS_T_MIN on Euler-Maclaurin, 0.03 to 0.07 ms on Riemann-Siegel (line_zeta):
-# lowering RS_T_MIN toward 1000 would save that in [1e3, 3e3], where no
-# benchmark workload runs, but take 10 correction terms instead of 8.
+# In moments' batches a panel costs 0.10 ms at t = 1e3 and 0.29 ms just
+# below RS_T_MIN on Euler-Maclaurin, 0.02 to 0.04 ms on Riemann-Siegel
+# (line_zeta): lowering RS_T_MIN toward 1000 would save that in [1e3, 3e3],
+# where no benchmark workload runs, but take 10 correction terms, not 8.
 RS_T_MIN = 3000.0
 # Truncation budget: a quarter of the documented error bound at RS_T_MIN;
 # rounding takes the rest. Every remainder bound below falls with t faster
@@ -343,7 +335,7 @@ def _log_chi(sig: np.ndarray, ts: np.ndarray, th0: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _phase_plan(M: int):
-    """n and log n for the rows n = 1..M of the Riemann-Siegel phase array,
+    """n and log n for the rows n = 1..M of a phase array of either route,
     the count of its first rows, 1 and the primes p <= M, and the steps that
     build the rest: for c = 2, 3, ..., the rows c p for the primes p from
     gpf(c), c's largest prime factor, up to M / c, each n once as n / gpf(n)
@@ -365,10 +357,15 @@ def _phase_plan(M: int):
 
 def _prime_phases(ts: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log n and the phase array of n^(-it), n <= m(t), zero for n > m(t),
-    with the rows in the order of _phase_plan(max m)."""
-    ns, lnn, k, steps = _phase_plan(int(m.max()))
+    with the rows in the order of _phase_plan(max m): sin and cos for 1 and
+    the primes, one product for each other row."""
+    ns, lnn, k, steps = _phase_plan(int(m.max(initial=0)))
     phase = np.empty((ns.size, ts.size), dtype=np.complex128)
-    _phases(lnn[:k], ts, phase[:k])
+    # rows 1 and p: sin and cos of -t log n in place (as np.exp would)
+    head = phase[:k]
+    np.multiply.outer(lnn[:k], -ts, out=head.real)
+    np.sin(head.real, out=head.imag)
+    np.cos(head.real, out=head.real)
     for lo, hi, c, p0, p1 in steps:
         np.multiply(phase[p0:p1], phase[c], out=phase[lo:hi])
     phase[ns[:, None] > m] = 0.0

@@ -21,10 +21,10 @@ below t = 3000, Riemann-Siegel from there on. Consecutive panels share a
 call up to _CHUNK_CELLS phase-array cells, and a panel's value does not
 depend on its chunk beyond rounding. Both routes keep the abs error below
 1e-12 + 1e-14 * t up to T_CEILING (measured against mpmath.zeta: at most
-1.2e-15 * t and 3.1e-15 * t), far below any quadrature tolerance accepted
+1.6e-15 * t and 3.1e-15 * t), far below any quadrature tolerance accepted
 here. On one core of a 2-core x86_64 host (AVX-512, numpy 2.4),
-[0, T_CEILING] at sigma = 3/4, j = 1 takes 3.4 to 3.5 s in process, peak
-RSS 48.2 MB. The 25-digit path in zetanum is used by the test suite to
+[0, T_CEILING] at sigma = 3/4, j = 1 takes 2.7 s in a fresh process that
+imports this module only, peak RSS 45.5 MB. The 25-digit path in zetanum is used by the test suite to
 validate that kernel, not per node.
 """
 
@@ -49,7 +49,7 @@ REL_TOL_FLOOR = 1.0e-6
 PANEL_CEILING = 200_000
 # Panels share one line_zeta call up to this many cells of its phase
 # array, nodes times _kernels.line_terms over their span: 18 panels at
-# T_CEILING, 58 at t = 1e4, 7 at 1e3, 46 below t = 163. Set on the
+# T_CEILING, 58 at t = 1e4, 6 at 1e3, 46 below t = 163. Set on the
 # moment-high-t benchmark windows (seeds 1-3, nine rounds, in process on one
 # core of a 2-core x86_64 host), median job time against the budget: 1.09,
 # 1.03, 0.90 and 0.96 ms at 16,000, 32,000, 48,000 and 64,000 to 96,000;

@@ -24,7 +24,7 @@ def test_line_zeta_matches_reference():
     # arbitrary-precision route
     ts = np.array([5.0, 14.134725, 50.0, 123.456, 900.0])
     got = _kernels.line_zeta(SIGMAS, ts)
-    assert got.shape == (3, ts.size)
+    assert got.shape == (3, ts.size) and _kernels.line_zeta(SIGMAS, []).shape == (3, 0)
     for row, sigma in zip(got, SIGMAS):
         with workdps(30):
             for i, t in enumerate(ts):
@@ -96,8 +96,12 @@ def _rs_points():
 
 
 def test_riemann_siegel_matches_euler_maclaurin():
-    # the two routes are independent algorithms; a batch at or above
-    # RS_T_MIN goes to Riemann-Siegel, and Euler-Maclaurin is called alone
+    # the two routes share their phase rows (_prime_phases, checked against
+    # mpmath in test_prime_phase_rows) and the product of _power_sums; the
+    # rest is independent: Riemann-Siegel's sqrt(t / 2 pi) terms, chi and
+    # corrections against Euler-Maclaurin's 0.3 t terms and tail. A batch at
+    # or above RS_T_MIN goes to Riemann-Siegel, and Euler-Maclaurin is
+    # called alone
     ts = _rs_points()
     got = _kernels.line_zeta(RS_SIGMAS, ts)
     assert np.array_equal(got, _kernels._riemann_siegel(np.array(RS_SIGMAS), ts))
@@ -121,27 +125,28 @@ def test_riemann_siegel_sweep_against_mpmath():
 
 
 def test_prime_phase_rows():
-    # every row n <= 126 of the phase array, built from the primes' sin and
-    # cos by products, against 30-digit exp(-i t log n) at one t above
-    # T_CEILING. A prime's row errs by the rounding of t log p, about
-    # t log p eps; each product adds its factors' errors and a few ulp, so
-    # row n stays within Omega(n) t log n eps (Omega: prime factors with
-    # multiplicity; measured up to 0.73 of it); 1's row is exact
-    t = 100_123.456
-    ts = np.array([t])
-    m = np.floor(np.sqrt(ts / (2 * math.pi)))
-    assert m[0] == 126 and t > T_CEILING
-    ns = _kernels._phase_plan(126)[0]
-    lnn, phase = _kernels._prime_phases(ts, m)
-    assert sorted(ns.tolist()) == list(range(1, 127)) and np.array_equal(lnn, np.log(ns))
-    for n, row in zip(ns.astype(int).tolist(), phase[:, 0]):
-        omega, q = 0, n
-        for p in range(2, n + 1):
-            while q % p == 0:
-                q, omega = q // p, omega + 1
-        with workdps(30):
-            ref = complex(mpmath.expj(-mpmath.mpf(t) * mpmath.log(n)))
-        assert abs(row - ref) <= omega * t * math.log(n) * np.finfo(float).eps, n
+    # every row of the two largest phase arrays, built from the primes' sin
+    # and cos by products, against 30-digit exp(-i t log n): n <= 126 for
+    # Riemann-Siegel at one t above T_CEILING, n <= 949 for Euler-Maclaurin
+    # just below RS_T_MIN. A prime's row errs by the rounding of t log p,
+    # about t log p eps; each product adds its factors' errors and a few
+    # ulp, so row n stays within Omega(n) t log n eps (Omega: prime factors
+    # with multiplicity; measured up to 0.73 of it); 1's row is exact
+    for t, rows in ((100_123.456, 126), (2999.99, 949)):
+        ts = np.array([t])
+        m = np.array([_kernels.line_terms(t, t)])
+        assert m[0] == rows and (t > T_CEILING or t < _kernels.RS_T_MIN)
+        ns = _kernels._phase_plan(rows)[0]
+        lnn, phase = _kernels._prime_phases(ts, m)
+        assert sorted(ns.tolist()) == list(range(1, rows + 1)) and np.array_equal(lnn, np.log(ns))
+        for n, row in zip(ns.astype(int).tolist(), phase[:, 0]):
+            omega, q = 0, n
+            for p in range(2, n + 1):
+                while q % p == 0:
+                    q, omega = q // p, omega + 1
+            with workdps(30):
+                ref = complex(mpmath.expj(-mpmath.mpf(t) * mpmath.log(n)))
+            assert abs(row - ref) <= omega * t * math.log(n) * np.finfo(float).eps, (t, n)
 
 
 def test_riemann_siegel_chi_matches_chi_factor(chi_factor):
@@ -209,13 +214,23 @@ def test_line_zeta_route_per_node(monkeypatch):
 
 def test_line_terms():
     # phase rows of the longest node: the Euler-Maclaurin cutoff less one
-    # below RS_T_MIN (49 at N = 50, 301 at t = 1000, 901 up to RS_T_MIN),
+    # below RS_T_MIN (49 at N = 50, 349 at t = 1000, 949 up to RS_T_MIN),
     # floor(sqrt(t / 2 pi)) from there on (21 at RS_T_MIN, 126 at T_CEILING)
     assert _kernels.line_terms(0.0, 100.0) == 49
-    assert _kernels.line_terms(990.0, 1000.0) == 301
-    assert _kernels.line_terms(2000.0, T_CEILING) == 901
+    assert _kernels.line_terms(990.0, 1000.0) == 349
+    assert _kernels.line_terms(2000.0, T_CEILING) == 949
     assert _kernels.line_terms(_kernels.RS_T_MIN, _kernels.RS_T_MIN) == 21
     assert _kernels.line_terms(_kernels.RS_T_MIN, T_CEILING) == 126
+
+
+def test_euler_maclaurin_plans_bounded():
+    # phase plans are cached per row count, and Euler-Maclaurin takes N - 1
+    # rows with N a multiple of 50: a window over the whole route leaves at
+    # most 19 plans (N = floor(0.3 t) + 2 per node would leave hundreds,
+    # several MB of cache)
+    _kernels._phase_plan.cache_clear()
+    moments.hybrid_moment(0.0, 2990.0, 0.6, 2, 1e-3)
+    assert 0 < _kernels._phase_plan.cache_info().currsize <= 19
 
 
 def _traced_peak(route, sig, ts):
@@ -231,11 +246,12 @@ def _traced_peak(route, sig, ts):
 
 @pytest.mark.parametrize("t_lo, t_hi, nodes", [(980.0, 1000.0, 147), (10.0, 140.0, 966)])
 def test_euler_maclaurin_one_phase_array(t_lo, t_hi, nodes):
-    # one call's worth of nodes under moments' cell budget: 7 panels of 21
-    # at t = 1e3, 46 at N = 50. The main sums take one complex128 phase
-    # array, zeroed past each node's cutoff, and the tail one term at a
-    # time, about 20 B a live cell; all 28 tail terms held at once took
-    # 57 B at N = 50
+    # about one call's worth of nodes under moments' cell budget: 7 panels
+    # of 21 at t = 1e3 (moments puts 6 in a call), 46 at N = 50. The main
+    # sums take one complex128 phase array, zeroed past each node's cutoff,
+    # and the tail one term at a time, about 20 B a live cell (22.3 B at
+    # t = 1e3, where the nodes with N = 300 leave 50 dead rows of the 349);
+    # all 28 tail terms held at once took 57 B at N = 50
     ts = np.linspace(t_lo, t_hi, nodes)
     peak = _traced_peak(_kernels._euler_maclaurin, np.array([0.5, 0.75]), ts)
     cells = (_kernels._em_cutoff(ts) - 1).sum()
