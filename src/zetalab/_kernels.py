@@ -123,12 +123,13 @@ def _em_cutoff(ts: np.ndarray) -> np.ndarray:
     return 50 * ((0.3 * np.abs(ts) + 1.0) // 50).astype(np.int64) + 50
 
 
-def line_terms(a: float, b: float) -> int:
+def line_terms(a, b):
     """The most terms, rows of its phase array, that line_zeta takes for a
-    node t in [a, b]: N - 1 below RS_T_MIN, floor(sqrt(t / 2 pi)) above."""
-    em = int(_em_cutoff(min(b, RS_T_MIN))) - 1 if a < RS_T_MIN else 0
-    rs = math.floor(math.sqrt(b / (2.0 * math.pi))) if b >= RS_T_MIN else 0
-    return max(em, rs)
+    node t in [a, b], elementwise over arrays of ends: N - 1 below RS_T_MIN,
+    floor(sqrt(t / 2 pi)) above."""
+    em = np.where(a < RS_T_MIN, _em_cutoff(np.minimum(b, RS_T_MIN)) - 1, 0)
+    rs = np.where(b >= RS_T_MIN, np.floor(np.sqrt(b / (2.0 * math.pi))), 0.0)
+    return np.maximum(em, rs.astype(np.int64))
 
 
 def _add_em_tail(acc: np.ndarray, s: np.ndarray, sm1: np.ndarray, N) -> np.ndarray:

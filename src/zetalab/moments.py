@@ -18,14 +18,16 @@ configuration.
 Node values come from _kernels.line_zeta, for both vertical lines in one
 call, which takes each node by the route of its own t: Euler-Maclaurin
 below t = 3000, Riemann-Siegel from there on. Consecutive panels share a
-call up to _CHUNK_CELLS phase-array cells, and a panel's value does not
-depend on its chunk beyond rounding. Both routes keep the abs error below
+call up to _CHUNK_CELLS phase-array cells. Each panel's K21 and G10 are then
+one weighted sum over its row of node values, in an order numpy fixes, so
+only the kernel's own products tie a panel's value to its chunk and to the
+BLAS build, by rounding. Both routes keep the abs error below
 1e-12 + 1e-14 * t up to T_CEILING (measured against mpmath.zeta: at most
 1.6e-15 * t and 3.1e-15 * t), far below any quadrature tolerance accepted
 here. On one core of a 2-core x86_64 host (AVX-512, numpy 2.4),
-[0, T_CEILING] at sigma = 3/4, j = 1 takes 2.7 s in a fresh process that
-imports this module only, peak RSS 45.5 MB. The 25-digit path in zetanum is used by the test suite to
-validate that kernel, not per node.
+[0, T_CEILING] at sigma = 3/4, j = 1 takes 2.5 s at best in a fresh process
+that imports this module only, peak RSS 46.0 MB. The 25-digit path in zetanum
+is used by the test suite to validate that kernel, not per node.
 """
 
 from __future__ import annotations
@@ -120,65 +122,55 @@ class MomentSample:
         return bool(self.step_stats.get("converged", True))
 
 
-def _integrand(ts: np.ndarray, sigma: float, j: int) -> np.ndarray:
-    # one kernel call for both vertical lines, over every node of ts; only
-    # the half line when j = 0, so an unused sigma = 1 line is never
-    # evaluated at the pole
-    flat = ts.ravel()
-    if j == 0:
-        out = np.abs(_kernels.line_zeta([0.5], flat)[0]) ** (4 + 2 * j)
-    else:
-        half, line = np.abs(_kernels.line_zeta([0.5, sigma], flat))
-        out = half**4 * line ** (2 * j)
-    return out.reshape(ts.shape)
-
-
 def _panel_width(t: float) -> float:
     # phase advance < pi/4 per node: ~log(t/2pi)/2pi zeros per unit t
     return 4.0 * math.pi / max(1.2, math.log(max(t, 20.0) / (2.0 * math.pi)))
 
 
-def _chunks(panels):
-    """Split panels [a, b], in order, into lists that share one kernel call:
-    consecutive panels share a call while its phase array, nodes times the
-    most terms a node in their span takes (_kernels.line_terms), stays
-    within _CHUNK_CELLS."""
-    chunk: list = []
-    for a, b in panels:
-        lo, hi = (min(lo, a), max(hi, b)) if chunk else (a, b)
-        if chunk and (len(chunk) + 1) * _K21_NODES.size * _kernels.line_terms(lo, hi) > _CHUNK_CELLS:
-            yield chunk
-            chunk, lo, hi = [], a, b
-        chunk.append((a, b))
-    if chunk:
-        yield chunk
+def _chunks(ends: np.ndarray) -> list[slice]:
+    """Split the panels [ends[i], ends[i + 1]] into slices of consecutive
+    panels that share one kernel call: a slice grows while its phase array,
+    nodes times the most terms a node in its span takes, stays within
+    _CHUNK_CELLS. The panels meet end to end, so a span's count
+    (_kernels.line_terms) is the largest of its panels' counts, and one
+    array call gives them all."""
+    terms = _kernels.line_terms(ends[:-1], ends[1:]).tolist()
+    starts, most = [0], 0
+    for i, m in enumerate(terms):
+        most = max(most, m)
+        if i > starts[-1] and (i + 1 - starts[-1]) * _K21_NODES.size * most > _CHUNK_CELLS:
+            starts.append(i)
+            most = m
+    return [slice(x, y) for x, y in zip(starts, starts[1:] + [len(terms)]) if x < y]
 
 
-def _eval_panels(panels, sigma: float, j: int):
-    """(a, b, K21 value, error estimate h * |K21 - G10|, node count) for
-    each panel [a, b], yielded in order, one kernel call per chunk (_chunks).
+def _eval_panels(a: np.ndarray, b: np.ndarray, sigma: float, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """K21 values and error estimates h * |K21 - G10| of the panels
+    [a_i, b_i], from one kernel call for both vertical lines over all their
+    nodes (only the half line when j = 0, so an unused sigma = 1 line is
+    never evaluated at the pole). Each rule is one weighted sum per panel,
+    h * (v * W).sum(axis=1), in an order numpy fixes, not the BLAS build.
 
-    A chunk is evaluated only when its first result is asked for, so the
-    caller holds one chunk's results at a time. A power that overflows
-    float64 gives inf, and inf - inf in a weighted sum NaN; either raises
-    PrecisionError for the first such panel, without a numpy warning.
+    A power that overflows float64 gives inf, and inf - inf in a weighted
+    sum NaN; either raises PrecisionError for the first such panel, without
+    a numpy warning.
     """
-    for chunk in _chunks(panels):
-        ends = np.array(chunk)
-        mid = 0.5 * (ends[:, 0] + ends[:, 1])
-        h = 0.5 * (ends[:, 1] - ends[:, 0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = _integrand(mid[:, None] + h[:, None] * _K21_NODES, sigma, j)
-            # yielded after the errstate block, which would otherwise stay
-            # in force in the caller while this generator waits
-            results = []
-            for (a, b), hk, v in zip(chunk, h.tolist(), vals):
-                kronrod = hk * float(_K21_WEIGHTS @ v)
-                gauss = hk * float(_G10_WEIGHTS @ v[1::2])
-                if not (math.isfinite(kronrod) and math.isfinite(gauss)):
-                    raise PrecisionError(_overflow_message(a, b, sigma, j))
-                results.append((a, b, kronrod, abs(kronrod - gauss), v.size))
-        yield from results
+    mid, h = 0.5 * (a + b), 0.5 * (b - a)
+    ts = (mid[:, None] + h[:, None] * _K21_NODES).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        if j == 0:
+            v = np.abs(_kernels.line_zeta([0.5], ts)[0]) ** 4
+        else:
+            half, line = np.abs(_kernels.line_zeta([0.5, sigma], ts))
+            v = half**4 * line ** (2 * j)
+        v = v.reshape(-1, _K21_NODES.size)
+        kronrod = h * (v * _K21_WEIGHTS).sum(axis=1)
+        gauss = h * (v[:, 1::2] * _G10_WEIGHTS).sum(axis=1)
+    bad = ~(np.isfinite(kronrod) & np.isfinite(gauss))
+    if bad.any():
+        i = int(bad.argmax())
+        raise PrecisionError(_overflow_message(float(a[i]), float(b[i]), sigma, j))
+    return kronrod, np.abs(kronrod - gauss)
 
 
 def _overflow_message(a: float, b: float, sigma: float, j: int) -> str:
@@ -252,17 +244,23 @@ def hybrid_moment_trace(
     running_val = 0.0
     running_err = 0.0
 
-    def add_panels(panels) -> None:
-        # each result goes onto the heap as it comes, so the initial panels
-        # are never all held as results
+    def add_panels(ends: list) -> None:
+        # the panels [ends[i], ends[i + 1]], chunk by chunk: each chunk's
+        # results go onto the heap before the next is evaluated, so the
+        # initial panels are never all held as results, and the heap holds
+        # the floats of ends, not copies
         nonlocal evals, running_val, running_err
-        for a, b, value, err, n in _eval_panels(panels, sigma, j):
-            evals += n
-            heapq.heappush(heap, (-err, a, b, value))
-            running_val += value
-            running_err += err
+        for s in _chunks(np.array(ends)):
+            chunk = ends[s.start : s.stop + 1]
+            t = np.array(chunk)
+            values, errs = _eval_panels(t[:-1], t[1:], sigma, j)
+            evals += values.size * _K21_NODES.size
+            for a, b, value, err in zip(chunk, chunk[1:], values.tolist(), errs.tolist()):
+                heapq.heappush(heap, (-err, a, b, value))
+                running_val += value
+                running_err += err
 
-    add_panels(zip(edges, edges[1:]))
+    add_panels(edges)
 
     snapshots: list[MomentSample] = []
     for tol in tols:
@@ -270,8 +268,7 @@ def hybrid_moment_trace(
             neg, a, b, old_value = heapq.heappop(heap)
             running_val -= old_value
             running_err -= -neg
-            mid = 0.5 * (a + b)
-            add_panels([(a, mid), (mid, b)])
+            add_panels([a, 0.5 * (a + b), b])
             refinements += 1
         # reduction in ascending interval order: reproducible bit for bit
         value = 0.0

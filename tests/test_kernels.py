@@ -221,6 +221,12 @@ def test_line_terms():
     assert _kernels.line_terms(2000.0, T_CEILING) == 949
     assert _kernels.line_terms(_kernels.RS_T_MIN, _kernels.RS_T_MIN) == 21
     assert _kernels.line_terms(_kernels.RS_T_MIN, T_CEILING) == 126
+    # one array call, as moments makes for all its panels, gives the
+    # scalar counts, also for a span across RS_T_MIN
+    a = np.array([0.0, 990.0, 2000.0, 2999.5, _kernels.RS_T_MIN, 5.0e4])
+    b = np.array([100.0, 1000.0, T_CEILING, 3000.5, T_CEILING, 5.0e4 + 7.0])
+    scalar = [_kernels.line_terms(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert _kernels.line_terms(a, b).tolist() == scalar == [49, 349, 949, 949, 126, 89]
 
 
 def test_euler_maclaurin_plans_bounded():

@@ -2,6 +2,10 @@
 and refinement behaviour."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -187,11 +191,11 @@ def test_overflowing_panel_raises_at_once(monkeypatch):
             moments.hybrid_moment(0.01, 1.0, 1.0, 200)
 
 
-def _phase_rule_panels(t_lo, t_hi):
+def _phase_rule_ends(t_lo, t_hi):
     edges = [t_lo]
     while edges[-1] < t_hi:
         edges.append(min(t_hi, edges[-1] + moments._panel_width(edges[-1])))
-    return list(zip(edges, edges[1:]))
+    return np.array(edges)
 
 
 @pytest.mark.parametrize("t_lo, t_hi", [(1.0e4, 1.05e4), (9.9e4, 1.0e5), (0.0, 1.0e3), (1.0, 300.0), (2900.0, 3100.0)])
@@ -201,16 +205,49 @@ def test_batched_panels_match_single_panels(t_lo, t_hi, sigma, j):
     # sums, on either route and across RS_T_MIN: each panel keeps its value
     # to rounding, and its estimate moves by rounding of the value it
     # estimates
-    panels = _phase_rule_panels(t_lo, t_hi)
-    batched = list(moments._eval_panels(panels, sigma, j))
-    single = [next(moments._eval_panels([panel], sigma, j)) for panel in panels]
-    assert len(batched) == len(single) == len(panels)
-    for (a, b, value, err, n), (a1, b1, value1, err1, n1) in zip(batched, single):
-        assert (a, b, n) == (a1, b1, n1) == (a, b, 21)
-        assert abs(value - value1) <= 1e-14 * value1
-        assert abs(err - err1) <= 1e-14 * value1
-    est, est1 = sum(r[3] for r in batched), sum(r[3] for r in single)
+    ends = _phase_rule_ends(t_lo, t_hi)
+    a, b = ends[:-1], ends[1:]
+    batched = [moments._eval_panels(a[s], b[s], sigma, j) for s in moments._chunks(ends)]
+    single = [moments._eval_panels(a[i : i + 1], b[i : i + 1], sigma, j) for i in range(a.size)]
+    (value, err), (value1, err1) = ([np.concatenate(r) for r in zip(*rs)] for rs in (batched, single))
+    assert value.shape == err.shape == value1.shape == err1.shape == a.shape
+    assert np.all(np.abs(value - value1) <= 1e-14 * value1)
+    assert np.all(np.abs(err - err1) <= 1e-14 * value1)
+    est, est1 = sum(err.tolist()), sum(err1.tolist())
     assert abs(est - est1) <= 1e-9 * est1
+
+
+# node values from elementwise ufuncs only, so the reductions of
+# _eval_panels are the only place a BLAS kernel could enter
+_BLAS_FREE_PANELS = """
+import hashlib
+import numpy as np
+from zetalab import _kernels, moments
+_kernels.line_zeta = lambda sigmas, ts: np.exp(np.multiply.outer(np.asarray(sigmas), np.sin(ts)) + 1j * ts)
+ends = np.linspace(1.0e4, 1.1e4, 2001)
+for r in moments._eval_panels(ends[:-1], ends[1:], 0.75, 1):
+    print(hashlib.sha256(r.tobytes()).hexdigest())
+"""
+
+
+def test_panel_sums_identical_under_every_blas_kernel():
+    # OpenBLAS picks its kernel, and with it the order of a dot product's
+    # sum, at run time (OPENBLAS_CORETYPE on a DYNAMIC_ARCH build): each
+    # panel's K21 and G10 sums must come out in the same bits under all three
+    src = str(Path(moments.__file__).resolve().parents[1])
+    outputs = []
+    for coretype in (None, "Haswell", "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = src
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_FREE_PANELS], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].split()) == 2
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize(
@@ -241,17 +278,16 @@ def test_kernel_calls_per_chunk(monkeypatch, t_lo, t_hi, sigma, j):
 def test_precision_error_names_the_same_panel():
     # at j = 150 a panel in the middle of a chunk overflows; the batched
     # run names the first such panel, as panel-by-panel evaluation does
-    panels = _phase_rule_panels(1.0e4, 1.05e4)
+    ends = _phase_rule_ends(1.0e4, 1.05e4)
     first = None
-    for panel in panels:
+    for i in range(ends.size - 1):
         try:
-            next(moments._eval_panels([panel], 0.5, 150))
+            moments._eval_panels(ends[i : i + 1], ends[i + 1 : i + 2], 0.5, 150)
         except PrecisionError as exc:
             first = str(exc)
             break
-    assert first is not None and panel != panels[0]
-    starts = set(np.cumsum([0] + [len(c) for c in moments._chunks(panels)]).tolist())
-    assert panels.index(panel) not in starts
+    assert first is not None and i > 0
+    assert i not in {s.start for s in moments._chunks(ends)}
     with pytest.raises(PrecisionError) as raised:
         moments.hybrid_moment(1.0e4, 1.05e4, 0.5, 150)
     assert str(raised.value) == first
