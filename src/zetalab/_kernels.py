@@ -360,7 +360,8 @@ def _prime_phases(ts: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """log n and the phase array of n^(-it), n <= m(t), zero for n > m(t),
     with the rows in the order of _phase_plan(max m): sin and cos for 1 and
     the primes, one product for each other row."""
-    ns, lnn, k, steps = _phase_plan(int(m.max(initial=0)))
+    top = int(m.max(initial=0))
+    ns, lnn, k, steps = _phase_plan(top)
     phase = np.empty((ns.size, ts.size), dtype=np.complex128)
     # rows 1 and p: sin and cos of -t log n in place (as np.exp would)
     head = phase[:k]
@@ -369,7 +370,11 @@ def _prime_phases(ts: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray
     np.cos(head.real, out=head.real)
     for lo, hi, c, p0, p1 in steps:
         np.multiply(phase[p0:p1], phase[c], out=phase[lo:hi])
-    phase[ns[:, None] > m] = 0.0
+    # only the rows n > min m can hold dead cells (none when m is constant)
+    rows = np.flatnonzero(ns > m.min(initial=top))
+    if rows.size:
+        r, c = np.nonzero(ns[rows, None] > m)
+        phase[rows[r], c] = 0.0
     return lnn, phase
 
 

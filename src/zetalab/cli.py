@@ -14,6 +14,7 @@ resource ceiling.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -543,7 +544,10 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built on the first call and shared by every later one: parse_args
+    # starts each call from a fresh namespace, and no default is mutable.
     # The output options are valid before and after the subcommand. They
     # carry no default, so a subparser that does not see a flag keeps the
     # value parsed before the subcommand; RunConfig supplies the defaults.

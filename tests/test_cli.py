@@ -1,5 +1,6 @@
 """Command-line surface: report content, formats, hashed outputs, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -461,3 +462,81 @@ def test_moment_unconverged_note(capsys, monkeypatch):
 def test_exit_unknown_command(capsys):
     assert _run(capsys, ["frobnicate"])[0] == 1
     assert _run(capsys, [])[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# One parser per process.
+# ---------------------------------------------------------------------------
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    # the first call builds the parser; later calls build none
+    assert cli._build_parser() is cli._build_parser()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["shift-ranges"], ["thresholds", "--depth", "3"], ["pairs", "--depth", "13"],
+                 ["--format", "csv", "bounds", "--count", "3"], ["frobnicate"]):
+        main(argv)
+    capsys.readouterr()
+    assert built == []
+
+
+def _fresh_process(argv):
+    src = str(Path(zetalab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "zetalab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_shared_parser_isolates_calls(capsys, monkeypatch):
+    # one process runs the sequence on the shared parser; each call prints
+    # and exits as the same command alone in a fresh process. An output
+    # option given before one command does not carry into the next, and a
+    # failed parse leaves nothing behind. COLUMNS fixes the --help width
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = (
+        ["--format", "json", "thresholds"],
+        ["thresholds"],
+        ["pairs", "--depth", "13"],
+        ["bounds", "--table", "order", "--format", "csv"],
+        ["--help"],
+    )
+    got = []
+    for argv in sequence:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # --help
+            rc = exc.code
+        got.append((rc, *capsys.readouterr()))
+    assert [g[0] for g in got] == [0, 0, 1, 0, 0]
+    assert got[0][1].startswith("{") and got[1][1].startswith("# zetalab thresholds")
+    for argv, result in zip(sequence, got):
+        assert result == _fresh_process(argv), argv
+
+
+def test_option_defaults_immutable():
+    # the shared parser hands the same default object to every call
+    def immutable(v):
+        scalar = (type(None), bool, int, float, str)
+        return isinstance(v, scalar) or (isinstance(v, tuple) and all(isinstance(x, scalar) for x in v))
+
+    for name, (_, _, options) in cli._COMMANDS.items():
+        for flag, kwargs in options.items():
+            assert immutable(kwargs.get("default")), (name, flag)
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for p in [parser, *sub.choices.values()]:
+        assert all(immutable(a.default) for a in p._actions), p.prog
+        assert all(immutable(v) for v in p._defaults.values()), p.prog

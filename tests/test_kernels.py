@@ -149,6 +149,20 @@ def test_prime_phase_rows():
             assert abs(row - ref) <= omega * t * math.log(n) * np.finfo(float).eps, (t, n)
 
 
+def test_prime_phase_dead_cells():
+    # a batch whose term count m(t) varies from node to node (both routes,
+    # and one constant m): a cell is zero exactly when its n exceeds m(t),
+    # since every live cell has modulus 1
+    rng = np.random.default_rng(7)
+    batches = [np.sort(rng.uniform(lo, hi, 40)) for lo, hi in ((3e3, 1e5), (10.0, 2990.0))]
+    batches.append(np.full(5, 4e4))
+    for ts in batches:
+        m = _kernels.line_terms(ts, ts)
+        lnn, phase = _kernels._prime_phases(ts, m)
+        ns = np.rint(np.exp(lnn))
+        assert np.array_equal(phase == 0, ns[:, None] > m)
+
+
 def test_riemann_siegel_chi_matches_chi_factor(chi_factor):
     # Stirling's series in float64 against mpmath's log-Gamma; the phase
     # t/2 log(t/2pi) is good to about one ulp of log f times t/2
